@@ -9,6 +9,7 @@
 
 #include <chrono>
 #include <cstdio>
+#include <vector>
 
 #include "bench_common.hpp"
 #include "harness/store.hpp"
@@ -85,12 +86,27 @@ void BM_ValidateConfiguration(benchmark::State& state) {
 BENCHMARK(BM_ValidateConfiguration);
 
 void BM_ConfigurationFingerprint(benchmark::State& state) {
+  // Every flag at its default: every term comes from the registry's table.
   const Configuration config(FlagRegistry::hotspot());
   for (auto _ : state) {
     benchmark::DoNotOptimize(config.fingerprint());
   }
 }
 BENCHMARK(BM_ConfigurationFingerprint);
+
+void BM_ConfigurationFingerprintTuned(benchmark::State& state) {
+  // Tuner-shaped configurations (random_config at density 0.3): their
+  // non-default flags are rendered and hashed on every call.
+  const SearchSpace space(FlagHierarchy::hotspot());
+  Rng rng(7);
+  std::vector<Configuration> configs;
+  for (int i = 0; i < 64; ++i) configs.push_back(space.random_config(rng, 0.3));
+  std::size_t next = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(configs[next++ % configs.size()].fingerprint());
+  }
+}
+BENCHMARK(BM_ConfigurationFingerprintTuned);
 
 void BM_RandomConfig(benchmark::State& state) {
   const SearchSpace space(FlagHierarchy::hotspot());

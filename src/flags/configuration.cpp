@@ -1,9 +1,26 @@
 #include "flags/configuration.hpp"
 
+#include <bit>
+
 #include "support/error.hpp"
 #include "support/rng.hpp"
 
 namespace jat {
+
+namespace {
+
+/// True when `value` is bit-for-bit the registry default, so it renders —
+/// and hashes — exactly as the default does. Plain == is not enough:
+/// 0.0 == -0.0, yet they render as "0" and "-0".
+bool same_bits(const FlagValue& value, const FlagValue& default_value) {
+  if (value.is_double() && default_value.is_double()) {
+    return std::bit_cast<std::uint64_t>(value.as_double()) ==
+           std::bit_cast<std::uint64_t>(default_value.as_double());
+  }
+  return value == default_value;
+}
+
+}  // namespace
 
 Configuration::Configuration(const FlagRegistry& registry) : registry_(&registry) {
   values_.reserve(registry.size());
@@ -94,12 +111,17 @@ std::string Configuration::render_command_line() const {
 }
 
 std::uint64_t Configuration::fingerprint() const {
+  // Flags at their default take the registry's precomputed term; only the
+  // changed ones are rendered. The chain runs over the same terms in the
+  // same id order, so the value equals hashing every rendered flag.
+  const std::vector<std::uint64_t>& default_terms =
+      registry_->default_fingerprint_terms();
   std::uint64_t h = 0x9e3779b97f4a7c15ULL;
   for (FlagId id = 0; id < values_.size(); ++id) {
-    const FlagSpec& spec = registry_->spec(id);
-    const std::uint64_t value_hash =
-        fnv1a64(values_[id].render(spec.type == FlagType::kSize));
-    h = mix64(h, mix64(id, value_hash));
+    const FlagValue& value = values_[id];
+    h = mix64(h, same_bits(value, registry_->spec(id).default_value)
+                     ? default_terms[id]
+                     : registry_->fingerprint_term(id, value));
   }
   return h;
 }

@@ -54,7 +54,10 @@ class Configuration {
   std::string render_command_line() const;
 
   /// Order-independent 64-bit fingerprint of all values (used as the cache /
-  /// result-db key; equal configurations hash equal).
+  /// result-db key; equal configurations hash equal). A persisted format:
+  /// it keys result logs, journals and stores. Costs one mix step per flag
+  /// plus a render of each non-default flag, so hot paths compute it once
+  /// per evaluation and pass it along.
   std::uint64_t fingerprint() const;
 
   friend bool operator==(const Configuration& a, const Configuration& b) {

@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "support/error.hpp"
+#include "support/rng.hpp"
 
 namespace jat {
 
@@ -58,6 +59,22 @@ double FlagRegistry::log10_space_size_all() const {
   double log_product = 0.0;
   for (const auto& spec : specs_) log_product += std::log10(spec.domain_cardinality());
   return log_product;
+}
+
+std::uint64_t FlagRegistry::fingerprint_term(FlagId id,
+                                             const FlagValue& value) const {
+  return mix64(id, fnv1a64(value.render(spec(id).type == FlagType::kSize)));
+}
+
+const std::vector<std::uint64_t>& FlagRegistry::default_fingerprint_terms()
+    const {
+  std::call_once(default_terms_once_, [this] {
+    default_terms_.reserve(specs_.size());
+    for (FlagId id = 0; id < specs_.size(); ++id) {
+      default_terms_.push_back(fingerprint_term(id, specs_[id].default_value));
+    }
+  });
+  return default_terms_;
 }
 
 }  // namespace jat

@@ -3,12 +3,14 @@
 // Mirrors `java -XX:+PrintFlagsFinal`: one FlagSpec per flag, looked up by
 // name or by dense index (FlagId). The catalog itself lives in catalog.cpp
 // and contains 600+ real HotSpot flag definitions (JDK 7/8 era, matching
-// the paper). Registry instances are immutable after construction and
-// shared by reference throughout the library.
+// the paper). Registry instances are immutable after construction (apart
+// from a lazily built, thread-safe fingerprint table) and shared by
+// reference throughout the library.
 #pragma once
 
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -53,9 +55,22 @@ class FlagRegistry {
   /// log10 of the full (flat) space over every flag.
   double log10_space_size_all() const;
 
+  /// One flag's contribution to Configuration::fingerprint():
+  /// mix64(id, fnv1a64(rendered value)), sizes rendered with their k/m/g
+  /// suffix. Fingerprints are a persisted format (result logs, journals,
+  /// stores, sandbox routing), so this formula must never change.
+  std::uint64_t fingerprint_term(FlagId id, const FlagValue& value) const;
+
+  /// fingerprint_term() of every flag's default value, indexed by id. Built
+  /// on first use (thread-safe, never in the constructor) and immutable
+  /// afterwards.
+  const std::vector<std::uint64_t>& default_fingerprint_terms() const;
+
  private:
   std::vector<FlagSpec> specs_;
   std::unordered_map<std::string, FlagId> by_name_;
+  mutable std::once_flag default_terms_once_;
+  mutable std::vector<std::uint64_t> default_terms_;
 };
 
 }  // namespace jat

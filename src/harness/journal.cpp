@@ -442,9 +442,22 @@ SessionJournal::~SessionJournal() { close(); }
 
 void SessionJournal::close() noexcept {
   if (fd_ >= 0) {
+    // Best effort: a destructor cannot report failure. What is durable is
+    // what the last successful write_line()/flush() sync covered.
     ::fsync(fd_);
     ::close(fd_);
     fd_ = -1;
+  }
+}
+
+void SessionJournal::sync_or_throw() {
+  // No retry: after a failed fsync the kernel may already have dropped the
+  // dirty pages, so a later success would not make these records durable.
+  if (::fsync(fd_) != 0) {
+    const int err = errno;
+    throw JournalError("journal fsync of '" + path_ + "' failed: " +
+                       std::strerror(err) + " (errno " + std::to_string(err) +
+                       ")");
   }
 }
 
@@ -471,7 +484,7 @@ void SessionJournal::write_line(const std::string& line, bool sync) {
     p += n;
     left -= static_cast<std::size_t>(n);
   }
-  if (sync) ::fsync(fd_);
+  if (sync) sync_or_throw();
 }
 
 void SessionJournal::write_meta(const JournalMeta& meta) {
@@ -513,7 +526,7 @@ void SessionJournal::append_end(std::uint64_t best_fingerprint, double best_ms,
 
 void SessionJournal::flush() {
   std::lock_guard lock(mutex_);
-  if (fd_ >= 0) ::fsync(fd_);
+  if (fd_ >= 0) sync_or_throw();
 }
 
 // ---- helpers ----------------------------------------------------------------
@@ -545,12 +558,13 @@ std::uint64_t fault_options_fingerprint(const FaultOptions& options) {
 }
 
 JournalEval make_journal_eval(std::int64_t seq, const Configuration& config,
+                              std::uint64_t fingerprint,
                               const Measurement& measurement, SimTime cost,
                               SimTime budget_spent, const std::string& phase,
                               bool include_metrics) {
   JournalEval eval;
   eval.seq = seq;
-  eval.fingerprint = config.fingerprint();
+  eval.fingerprint = fingerprint;
   eval.phase = phase;
   eval.command_line = config.render_command_line();
   eval.times_ms = measurement.times_ms;
@@ -564,6 +578,14 @@ JournalEval make_journal_eval(std::int64_t seq, const Configuration& config,
   eval.cost = cost;
   eval.budget_spent = budget_spent;
   return eval;
+}
+
+JournalEval make_journal_eval(std::int64_t seq, const Configuration& config,
+                              const Measurement& measurement, SimTime cost,
+                              SimTime budget_spent, const std::string& phase,
+                              bool include_metrics) {
+  return make_journal_eval(seq, config, config.fingerprint(), measurement,
+                           cost, budget_spent, phase, include_metrics);
 }
 
 void validate_resume_meta(const JournalMeta& journaled,

@@ -206,6 +206,10 @@ class SessionJournal {
   /// Evaluations recorded in this journal: loaded prefix + live appends.
   std::size_t records_written() const { return committed_.size() + appended_; }
 
+  // Durability: every write and every fsync is checked. A failed write or
+  // fsync throws JournalError naming the path and errno, and is never
+  // retried, so a record is reported durable only when its sync succeeded.
+
   /// Writes the metadata record (first record; always fsynced). Only valid
   /// on a fresh journal.
   void write_meta(const JournalMeta& meta);
@@ -223,6 +227,11 @@ class SessionJournal {
  private:
   SessionJournal() = default;
   void write_line(const std::string& line, bool sync);
+  /// fsync, throwing JournalError on failure (mutex_ held).
+  void sync_or_throw();
+  /// Closes the descriptor after a best-effort fsync whose failure cannot
+  /// be reported (noexcept: it runs in the destructor). Durability comes
+  /// from the last synced write; call flush() to learn whether it held.
   void close() noexcept;
 
   std::string path_;
@@ -272,10 +281,19 @@ std::uint64_t space_fingerprint(const FlagRegistry& registry);
 /// two sessions with equal fingerprints draw identical faults.
 std::uint64_t fault_options_fingerprint(const FaultOptions& options);
 
-/// Builds the journal record for one committed evaluation.
-/// `include_metrics` copies the measurement's per-repetition metric rows
-/// into the record; sessions set it exactly when their objective is not
-/// run_time, so run_time journals stay byte-identical to version 1.
+/// Builds the journal record for one committed evaluation of `config`,
+/// whose fingerprint the caller already holds (the scheduler computes it
+/// once per evaluation). `include_metrics` copies the measurement's
+/// per-repetition metric rows into the record; sessions set it exactly when
+/// their objective is not run_time, so run_time journals stay
+/// byte-identical to version 1.
+JournalEval make_journal_eval(std::int64_t seq, const Configuration& config,
+                              std::uint64_t fingerprint,
+                              const Measurement& measurement, SimTime cost,
+                              SimTime budget_spent, const std::string& phase,
+                              bool include_metrics = false);
+/// Same, for callers holding only the configuration: computes its
+/// fingerprint.
 JournalEval make_journal_eval(std::int64_t seq, const Configuration& config,
                               const Measurement& measurement, SimTime cost,
                               SimTime budget_spent, const std::string& phase,

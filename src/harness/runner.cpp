@@ -1,8 +1,10 @@
 #include "harness/runner.hpp"
 
 #include <algorithm>
+#include <optional>
 #include <string>
 
+#include "flags/validate.hpp"
 #include "harness/journal.hpp"
 #include "support/rng.hpp"
 
@@ -188,8 +190,8 @@ Measurement BenchmarkRunner::measure(const Configuration& config,
 
   Measurement measurement;
   try {
-    measurement =
-        measure_uncached(config, budget, hints, continuing ? &base : nullptr);
+    measurement = measure_uncached(config, fingerprint, budget, hints,
+                                   continuing ? &base : nullptr);
   } catch (...) {
     // Never leave followers waiting on a leader that died: hand them the
     // exception itself and re-throw. The fingerprint stays uncached, so a
@@ -222,11 +224,12 @@ Measurement BenchmarkRunner::measure(const Configuration& config,
 }
 
 Measurement BenchmarkRunner::measure_uncached(const Configuration& config,
+                                              std::uint64_t fingerprint,
                                               BudgetClock* budget,
                                               const EvalHints& hints,
                                               const Measurement* base) {
   Measurement m;
-  m.config_fingerprint = config.fingerprint();
+  m.config_fingerprint = fingerprint;
   const Objective& objective =
       options_.objective ? *options_.objective : run_time_objective();
 
@@ -256,6 +259,12 @@ Measurement BenchmarkRunner::measure_uncached(const Configuration& config,
   const MeasurementPolicy policy(options_.policy, hints.incumbent);
   StopReason stop = StopReason::kFull;
 
+  // The start check and the decode depend on the configuration alone, so
+  // each repetition equals JvmSimulator::run(config, workload_, seed).
+  const std::string fatal = first_fatal(config);
+  std::optional<JvmParams> params;
+  if (fatal.empty()) params = decode_params(config);
+
   for (int rep = start_rep; rep < planned; ++rep) {
     // Cooperative cancellation stops after the current repetition, never
     // before the first: a drained measurement is a valid measurement.
@@ -264,8 +273,9 @@ Measurement BenchmarkRunner::measure_uncached(const Configuration& config,
       break;
     }
     const std::uint64_t seed =
-        mix64(options_.seed, mix64(m.config_fingerprint, static_cast<std::uint64_t>(rep)));
-    RunResult run = simulator_->run(config, workload_, seed);
+        mix64(options_.seed, mix64(fingerprint, static_cast<std::uint64_t>(rep)));
+    RunResult run = params ? simulator_->run(*params, workload_, seed)
+                           : refused_start(fatal);
     {
       std::lock_guard lock(mutex_);
       ++runs_executed_;

@@ -156,10 +156,14 @@ class BenchmarkRunner : public Evaluator {
     std::exception_ptr error;  ///< set when the leader threw; followers rethrow
   };
 
-  /// Runs the repetition loop. `base` (may be null) is a previous partial
-  /// measurement to continue from: repetitions resume at its count, so the
-  /// merged result is bit-identical to a from-scratch full measurement.
-  Measurement measure_uncached(const Configuration& config, BudgetClock* budget,
+  /// Runs the repetition loop for `config`, whose fingerprint measure()
+  /// already computed. The start check and the parameter decode run once,
+  /// before the loop; every repetition simulates the decoded parameters.
+  /// `base` (may be null) is a previous partial measurement to continue
+  /// from: repetitions resume at its count, so the merged result is
+  /// bit-identical to a from-scratch full measurement.
+  Measurement measure_uncached(const Configuration& config,
+                               std::uint64_t fingerprint, BudgetClock* budget,
                                const EvalHints& hints,
                                const Measurement* base);
 

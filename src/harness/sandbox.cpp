@@ -470,6 +470,10 @@ void SandboxedEvaluator::spawn(Worker& worker) {
     ::close(request_pipe[1]);
     throw Error("sandbox: pipe() failed: " + std::string(::strerror(errno)));
   }
+  // The registry builds its fingerprint table lazily under call_once. Build
+  // it here (or wait for the thread building it) so that no worker forks
+  // with the table half-built and then blocks on it forever.
+  (void)registry_->default_fingerprint_terms();
   const pid_t pid = ::fork();
   if (pid < 0) {
     ::close(request_pipe[0]);

@@ -46,20 +46,21 @@ double misc_speed_factor(const JvmParams& p, const WorkloadSpec& w) {
 
 }  // namespace
 
+RunResult refused_start(const std::string& fatal) {
+  RunResult result;
+  result.crashed = true;
+  result.crash_reason = "VM failed to start: " + fatal;
+  result.total_time = SimTime::seconds(1.0);
+  return result;
+}
+
 JvmSimulator::JvmSimulator(SimOptions options) : options_(options) {}
 
 RunResult JvmSimulator::run(const Configuration& config,
                             const WorkloadSpec& workload,
                             std::uint64_t seed) const {
   const std::string fatal = first_fatal(config);
-  if (!fatal.empty()) {
-    RunResult result;
-    result.crashed = true;
-    result.crash_reason = "VM failed to start: " + fatal;
-    // A refused start is detected quickly by a real harness.
-    result.total_time = SimTime::seconds(1.0);
-    return result;
-  }
+  if (!fatal.empty()) return refused_start(fatal);
   return run(decode_params(config), workload, seed);
 }
 

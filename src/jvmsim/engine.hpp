@@ -14,6 +14,7 @@
 #pragma once
 
 #include <cstdint>
+#include <string>
 
 #include "flags/configuration.hpp"
 #include "jvmsim/machine.hpp"
@@ -55,5 +56,10 @@ class JvmSimulator {
  private:
   SimOptions options_;
 };
+
+/// The result of a configuration the VM refuses to start; `fatal` is
+/// first_fatal()'s message. A crash after one second: a real harness
+/// detects a refused start quickly.
+RunResult refused_start(const std::string& fatal);
 
 }  // namespace jat

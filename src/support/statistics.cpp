@@ -204,13 +204,19 @@ double beta_continued_fraction(double a, double b, double x) {
   return h;
 }
 
+// log|Γ(x)| without std::lgamma's write to the global `signgam`, which is
+// a data race when measurements run the Welch test on several threads.
+double log_gamma(double x) {
+  int sign = 0;
+  return ::lgamma_r(x, &sign);
+}
+
 // Regularized incomplete beta I_x(a, b) for x in [0, 1].
 double regularized_incomplete_beta(double a, double b, double x) {
   if (x <= 0.0) return 0.0;
   if (x >= 1.0) return 1.0;
-  const double log_front = std::lgamma(a + b) - std::lgamma(a) -
-                           std::lgamma(b) + a * std::log(x) +
-                           b * std::log1p(-x);
+  const double log_front = log_gamma(a + b) - log_gamma(a) - log_gamma(b) +
+                           a * std::log(x) + b * std::log1p(-x);
   const double front = std::exp(log_front);
   if (x < (a + 1.0) / (a + b + 2.0)) {
     return front * beta_continued_fraction(a, b, x) / a;

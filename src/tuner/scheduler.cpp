@@ -37,7 +37,7 @@ void EvalScheduler::dispatch(Proposal proposal) {
     ctx_->trace_event(TraceEvent("dispatch", ctx_->budget().spent())
                           .with("id", static_cast<std::int64_t>(flight.id))
                           .with("fingerprint",
-                                fingerprint_hex(flight.config.fingerprint()))
+                                fingerprint_hex(flight.fingerprint))
                           .with("inflight", static_cast<std::int64_t>(
                                                 window_.size() + 1)));
   }
@@ -52,20 +52,20 @@ void EvalScheduler::deliver(SearchStrategy& strategy) {
   InFlight flight = std::move(window_.front());
   window_.pop_front();
   TuningContext::MeasuredEval result =
-      flight.replay            ? ctx_->replay_next(flight.config)
+      flight.replay            ? ctx_->replay_next(flight.fingerprint)
       : flight.pending.valid() ? flight.pending.get()
                                : ctx_->measure_only(flight.config, flight.hints);
   // commit() may top up a raced-out result; it updates `result` in place so
   // the committed ledger below folds in the extra charge.
-  const double objective =
-      ctx_->commit(flight.config, result, flight.replay, flight.phase);
+  const double objective = ctx_->commit(flight.config, flight.fingerprint,
+                                        result, flight.replay, flight.phase);
   committed_spent_ += result.cost;
   ++committed_evals_;
   if (ctx_->tracing()) {
     ctx_->trace_event(
         TraceEvent("complete", ctx_->budget().spent())
             .with("id", static_cast<std::int64_t>(flight.id))
-            .with("fingerprint", fingerprint_hex(flight.config.fingerprint()))
+            .with("fingerprint", fingerprint_hex(flight.fingerprint))
             .with("objective_ms", objective)
             .with("cost_s", result.cost.as_seconds())
             .with("inflight", static_cast<std::int64_t>(window_.size())));
@@ -74,7 +74,7 @@ void EvalScheduler::deliver(SearchStrategy& strategy) {
   observation.id = flight.id;
   observation.tag = flight.tag;
   observation.config = &flight.config;
-  observation.fingerprint = flight.config.fingerprint();
+  observation.fingerprint = flight.fingerprint;
   observation.objective = objective;
   observation.cost = result.cost;
   observation.fault = result.measurement.fault;

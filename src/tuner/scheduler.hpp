@@ -64,12 +64,16 @@ class EvalScheduler {
         : id(id),
           tag(proposal.tag),
           phase(std::move(proposal.phase)),
-          config(std::move(proposal.config)) {}
+          config(std::move(proposal.config)),
+          fingerprint(config.fingerprint()) {}
 
     std::uint64_t id;
     std::uint64_t tag;
     std::string phase;
     Configuration config;
+    /// config.fingerprint(), computed once at dispatch and reused by the
+    /// trace events, replay, commit, and the observation.
+    std::uint64_t fingerprint;
     /// True when this proposal's result is answered from the journal
     /// (resume replay) instead of being measured.
     bool replay = false;

@@ -203,10 +203,13 @@ TuningOutcome TuningSession::run_internal(SearchStrategy& strategy,
   // the paper's harness measures it as its first candidate too.
   ctx.set_phase("default");
   const Configuration defaults(space.registry());
+  const std::uint64_t defaults_fp = defaults.fingerprint();
   const bool base_replayed = ctx.replaying();
-  TuningContext::MeasuredEval base =
-      base_replayed ? ctx.replay_next(defaults) : ctx.measure_only(defaults);
-  const double default_ms = ctx.commit(defaults, base, base_replayed);
+  TuningContext::MeasuredEval base = base_replayed
+                                         ? ctx.replay_next(defaults_fp)
+                                         : ctx.measure_only(defaults);
+  const double default_ms =
+      ctx.commit(defaults, defaults_fp, base, base_replayed);
   if (trace != nullptr) {
     trace->emit(TraceEvent("baseline", budget.spent())
                     .with("objective_ms", default_ms));

@@ -230,10 +230,13 @@ SuiteOutcome SuiteTuningSession::run_internal(SearchStrategy& strategy,
 
   ctx.set_phase("default");
   const Configuration defaults(space.registry());
+  const std::uint64_t defaults_fp = defaults.fingerprint();
   const bool base_replayed = ctx.replaying();
-  TuningContext::MeasuredEval base =
-      base_replayed ? ctx.replay_next(defaults) : ctx.measure_only(defaults);
-  ctx.commit(defaults, base, base_replayed);  // score 1000 by construction
+  TuningContext::MeasuredEval base = base_replayed
+                                         ? ctx.replay_next(defaults_fp)
+                                         : ctx.measure_only(defaults);
+  // Score 1000 by construction.
+  ctx.commit(defaults, defaults_fp, base, base_replayed);
 
   // Warm-start transfer, suite flavour: round-robin over the members'
   // store namespaces (rank-0 of every member, then rank-1, ...) up to

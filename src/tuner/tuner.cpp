@@ -51,9 +51,9 @@ std::string TuningContext::resolve_phase(const std::string& phase) const {
 }
 
 double TuningContext::record(const Configuration& config,
-                             const Measurement& m, const std::string& phase) {
+                             std::uint64_t fingerprint, const Measurement& m,
+                             const std::string& phase) {
   const double objective = m.objective(*objective_);
-  const std::uint64_t fingerprint = config.fingerprint();
   const std::string label = resolve_phase(phase);
   db_->record(fingerprint, objective, budget_->spent(),
               config.render_command_line(), label, m.fault, m.crash_reason,
@@ -80,7 +80,8 @@ double TuningContext::record(const Configuration& config,
   return objective;
 }
 
-double TuningContext::commit(const Configuration& config, MeasuredEval& eval,
+double TuningContext::commit(const Configuration& config,
+                             std::uint64_t fingerprint, MeasuredEval& eval,
                              bool replayed, const std::string& phase) {
   const std::string label = resolve_phase(phase);
   MeasuredEval& applied = eval;
@@ -98,7 +99,7 @@ double TuningContext::commit(const Configuration& config, MeasuredEval& eval,
     {
       std::lock_guard lock(mutex_);
       candidate = improves_locked(applied.measurement.objective(*objective_),
-                                  config.fingerprint());
+                                  fingerprint);
       hints.incumbent.count = incumbent_stat_.count();
       hints.incumbent.mean = incumbent_stat_.mean();
       hints.incumbent.m2 = incumbent_stat_.m2();
@@ -114,7 +115,7 @@ double TuningContext::commit(const Configuration& config, MeasuredEval& eval,
             static_cast<std::int64_t>(applied.measurement.times_ms.size());
         trace_->emit(
             TraceEvent("topup", budget_->spent())
-                .with("fingerprint", fingerprint_hex(config.fingerprint()))
+                .with("fingerprint", fingerprint_hex(fingerprint))
                 .with("added_reps", std::max<std::int64_t>(0, added))
                 .with("objective_ms", extended.objective(*objective_))
                 .with("stop", std::string(to_string(extended.stop))));
@@ -129,8 +130,8 @@ double TuningContext::commit(const Configuration& config, MeasuredEval& eval,
     // WAL order: the record is durable before the result mutates any state.
     // A crash between the append and the apply merely replays it on resume.
     journal_->append(make_journal_eval(
-        static_cast<std::int64_t>(db_->size()), config, applied.measurement,
-        applied.cost, budget_->spent(), label,
+        static_cast<std::int64_t>(db_->size()), config, fingerprint,
+        applied.measurement, applied.cost, budget_->spent(), label,
         /*include_metrics=*/objective_->id() != "run_time"));
   }
   // Charged evaluations: the budget-consuming subset of the trajectory.
@@ -138,20 +139,20 @@ double TuningContext::commit(const Configuration& config, MeasuredEval& eval,
   // seeds never count — the ≥25%-fewer-charged-evaluations acceptance
   // criterion compares real measurement work, not replayed records.
   if (applied.cost > SimTime::zero()) ++charged_evals_;
-  return record(config, applied.measurement, label);
+  return record(config, fingerprint, applied.measurement, label);
 }
 
 TuningContext::MeasuredEval TuningContext::replay_next(
-    const Configuration& config) {
+    std::uint64_t fingerprint) {
   if (!replaying()) {
     throw TunerError("TuningContext::replay_next: no replay record left");
   }
   const JournalEval& rec = (*replay_)[replay_cursor_];
-  if (rec.fingerprint != config.fingerprint()) {
+  if (rec.fingerprint != fingerprint) {
     throw JournalError(
         "replay divergence at seq " + std::to_string(rec.seq) +
         ": the journal recorded fingerprint " + fingerprint_hex(rec.fingerprint) +
-        " but the strategy proposed " + fingerprint_hex(config.fingerprint()) +
+        " but the strategy proposed " + fingerprint_hex(fingerprint) +
         " (wrong journal, or the code changed since it was written)");
   }
   ++replay_cursor_;
@@ -163,7 +164,7 @@ double TuningContext::evaluate(const Configuration& config) {
   EvalHints hints;
   if (policy_.adaptive) hints.incumbent = incumbent_snapshot();
   const Measurement m = evaluator_->measure(config, budget_, hints);
-  return record(config, m);
+  return record(config, config.fingerprint(), m);
 }
 
 std::vector<double> TuningContext::evaluate_batch(

@@ -100,18 +100,22 @@ class TuningContext {
   MeasuredEval measure_only(const Configuration& config,
                             const EvalHints& hints);
 
-  /// Records a completed measurement: ResultDb row, eval trace event, and
-  /// the incumbent update. Called on the scheduler's control thread so row
-  /// order and the incumbent are deterministic. An empty `phase` uses the
-  /// current set_phase() label. Returns the objective.
-  double record(const Configuration& config, const Measurement& measurement,
+  /// Records a completed measurement of `config` (whose fingerprint the
+  /// caller computed once for the whole evaluation): ResultDb row, eval
+  /// trace event, and the incumbent update. Called on the scheduler's
+  /// control thread so row order and the incumbent are deterministic. An
+  /// empty `phase` uses the current set_phase() label. Returns the
+  /// objective.
+  double record(const Configuration& config, std::uint64_t fingerprint,
+                const Measurement& measurement,
                 const std::string& phase = std::string());
 
   /// Commits a completed evaluation: journals it (WAL order — the record is
   /// durable before the result is applied), then record()s it. `replayed`
   /// evaluations came *from* the journal and are not re-journaled. This is
   /// the scheduler's commit point; record() remains for paths without a
-  /// journal.
+  /// journal. `fingerprint` is `config.fingerprint()`, computed once by the
+  /// caller and reused for the top-up check, the journal, and the record.
   ///
   /// Under an adaptive measurement policy, a raced-out measurement that
   /// would displace the incumbent is first *topped up*: re-measured to
@@ -121,8 +125,9 @@ class TuningContext {
   /// measurement, top-up cost folded in) so the caller's cost ledger stays
   /// exact. Replayed commits never top up — the journal already holds the
   /// merged record.
-  double commit(const Configuration& config, MeasuredEval& eval,
-                bool replayed, const std::string& phase = std::string());
+  double commit(const Configuration& config, std::uint64_t fingerprint,
+                MeasuredEval& eval, bool replayed,
+                const std::string& phase = std::string());
 
   /// Committed evaluations that charged nonzero budget (replayed ones count
   /// with their journaled cost). Zero-cost commits — cross-session store
@@ -179,10 +184,11 @@ class TuningContext {
 
   /// Answers the next evaluation from the journal: charges the journaled
   /// cost to the budget clock and returns the journaled measurement. Throws
-  /// JournalError if `config` is not the configuration the journal recorded
-  /// at this position (replay divergence: the strategy did not re-propose
-  /// the same trajectory, so the journal does not belong to this session).
-  MeasuredEval replay_next(const Configuration& config);
+  /// JournalError if `fingerprint` (of the proposed configuration) is not
+  /// the one the journal recorded at this position (replay divergence: the
+  /// strategy did not re-propose the same trajectory, so the journal does
+  /// not belong to this session).
+  MeasuredEval replay_next(std::uint64_t fingerprint);
 
  private:
   void consider(const Configuration& config, std::uint64_t fingerprint,

@@ -1,7 +1,8 @@
 // Property-based round-trip sweep over the flag layer: for ANY valid
 // configuration, rendering to HotSpot syntax and parsing back must
-// reproduce the configuration bit for bit, and the fingerprint must not
-// depend on the order flags are applied. 10k seeded random configurations
+// reproduce the configuration bit for bit, the fingerprint must not
+// depend on the order flags are applied, and it must equal the
+// render-every-flag reference below. 10k seeded random configurations
 // run in ctest; every failure message carries the case seed, so a red run
 // is reproducible with
 //   JAT_FLAGS_SEED=<seed> ctest -R FlagsProperty
@@ -10,7 +11,9 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstdlib>
+#include <latch>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "flags/configuration.hpp"
@@ -78,6 +81,20 @@ Configuration random_config(const FlagRegistry& registry, Rng& rng) {
   return config;
 }
 
+/// The fingerprint as defined: every flag's value rendered and hashed, the
+/// terms chained in id order. Configuration::fingerprint() takes a
+/// precomputed term for flags at their default; it must equal this bit for
+/// bit, because fingerprints are persisted (result logs, journals, stores).
+std::uint64_t reference_fingerprint(const Configuration& config) {
+  const FlagRegistry& registry = config.registry();
+  std::uint64_t h = 0x9e3779b97f4a7c15ULL;
+  for (FlagId id = 0; id < config.size(); ++id) {
+    const bool as_size = registry.spec(id).type == FlagType::kSize;
+    h = mix64(h, mix64(id, fnv1a64(config.get(id).render(as_size))));
+  }
+  return h;
+}
+
 class FlagsProperty : public ::testing::Test {
  protected:
   const FlagRegistry& reg_ = FlagRegistry::hotspot();
@@ -99,6 +116,9 @@ TEST_F(FlagsProperty, RenderParseRoundTripsTenThousandRandomConfigs) {
         << std::hex << seed << std::dec << "\n  rendered: " << rendered;
     ASSERT_EQ(reparsed.fingerprint(), config.fingerprint())
         << "fingerprint moved under round-trip; seed 0x" << std::hex << seed;
+    ASSERT_EQ(config.fingerprint(), reference_fingerprint(config))
+        << "fingerprint differs from the reference; seed 0x" << std::hex
+        << seed;
     ASSERT_EQ(reparsed.render_command_line(), rendered)
         << "second render differs; seed 0x" << std::hex << seed;
   }
@@ -154,6 +174,127 @@ TEST_F(FlagsProperty, FingerprintSeparatesDistinctConfigurations) {
       break;
     }
     ASSERT_NE(config.fingerprint(), before) << "seed 0x" << std::hex << seed;
+  }
+}
+
+// The default configuration takes the precomputed term for every flag; its
+// fingerprint is pinned as persisted in tests/golden/run_time_eval_log.csv
+// (row 0, the baseline).
+TEST_F(FlagsProperty, DefaultFingerprintMatchesReferenceAndGolden) {
+  const Configuration defaults(reg_);
+  EXPECT_EQ(defaults.fingerprint(), reference_fingerprint(defaults));
+  EXPECT_EQ(defaults.fingerprint(), 3571362469991511436ULL);
+}
+
+// Every double, size and enum flag moved — one at a time, then all at once
+// — renders through the non-default path and must still match.
+TEST_F(FlagsProperty, FingerprintMatchesReferenceWhenValueFlagsMove) {
+  Rng rng(mix64(base_seed(), 0x6d6f766564ULL));
+  std::vector<FlagId> moved;
+  for (FlagId id = 0; id < reg_.size(); ++id) {
+    const FlagType type = reg_.spec(id).type;
+    if (type == FlagType::kDouble || type == FlagType::kSize ||
+        type == FlagType::kEnum) {
+      moved.push_back(id);
+    }
+  }
+  ASSERT_FALSE(moved.empty());
+  for (const FlagId id : moved) {
+    Configuration config(reg_);
+    // A few draws find a non-default value in any domain wider than one.
+    for (int draw = 0; draw < 16 && config.is_default(id); ++draw) {
+      config.set(id, random_value(reg_.spec(id), rng));
+    }
+    ASSERT_EQ(config.fingerprint(), reference_fingerprint(config))
+        << reg_.spec(id).name << " = " << config.render_flag(id);
+  }
+  for (int i = 0; i < 100; ++i) {
+    Configuration config(reg_);
+    for (const FlagId id : moved) config.set(id, random_value(reg_.spec(id), rng));
+    ASSERT_EQ(config.fingerprint(), reference_fingerprint(config)) << "case " << i;
+  }
+}
+
+/// A small hand-made registry with one flag of every type. D defaults to
+/// 0.0, so -0.0 is in its domain yet renders differently ("-0").
+std::vector<FlagSpec> small_specs() {
+  std::vector<FlagSpec> specs(5);
+  specs[0].name = "A";
+  specs[0].type = FlagType::kBool;
+  specs[0].default_value = FlagValue(true);
+  specs[1].name = "B";
+  specs[1].type = FlagType::kInt;
+  specs[1].default_value = FlagValue(std::int64_t{5});
+  specs[1].int_domain = {0, 100};
+  specs[2].name = "C";
+  specs[2].type = FlagType::kSize;
+  specs[2].default_value = FlagValue(std::int64_t{64} << 20);
+  specs[2].int_domain = {std::int64_t{1} << 20, std::int64_t{1} << 30};
+  specs[3].name = "D";
+  specs[3].type = FlagType::kDouble;
+  specs[3].default_value = FlagValue(0.0);
+  specs[3].double_domain = {0.0, 1.0};
+  specs[4].name = "E";
+  specs[4].type = FlagType::kEnum;
+  specs[4].default_value = FlagValue(std::string("x"));
+  specs[4].choices = {"x", "y"};
+  return specs;
+}
+
+// A hand-made registry builds its own table: its defaults, every single
+// move, and the -0.0 corner (== the default, but not the same bits) all
+// match the reference.
+TEST(FingerprintTable, HandMadeRegistryMatchesReference) {
+  const FlagRegistry registry(small_specs());
+  const Configuration defaults(registry);
+  EXPECT_EQ(defaults.fingerprint(), reference_fingerprint(defaults));
+  EXPECT_EQ(registry.default_fingerprint_terms().size(), registry.size());
+  EXPECT_NE(defaults.fingerprint(),
+            Configuration(FlagRegistry::hotspot()).fingerprint());
+
+  const std::vector<std::pair<std::string, FlagValue>> moves = {
+      {"A", FlagValue(false)},
+      {"B", FlagValue(std::int64_t{6})},
+      {"C", FlagValue(std::int64_t{65} << 20)},
+      {"D", FlagValue(0.5)},
+      {"D", FlagValue(-0.0)},
+      {"E", FlagValue(std::string("y"))},
+  };
+  for (const auto& [name, value] : moves) {
+    Configuration config(registry);
+    config.set(name, value);
+    EXPECT_EQ(config.fingerprint(), reference_fingerprint(config))
+        << name << " = " << value.render();
+    EXPECT_NE(config.fingerprint(), defaults.fingerprint())
+        << name << " = " << value.render();
+  }
+}
+
+// First use of a registry's table from many threads at once: exactly one
+// table is built and every thread sees the reference fingerprint. (Named
+// for the thread-sanitizer CI job's test filter.)
+TEST(FingerprintTable, ParallelFirstUseBuildsOneTable) {
+  constexpr int kThreads = 8;
+  const FlagRegistry registry(small_specs());
+  Configuration config(registry);
+  config.set("E", FlagValue(std::string("y")));
+  const std::uint64_t expected = reference_fingerprint(config);
+
+  std::latch start(kThreads);
+  std::vector<std::uint64_t> seen(kThreads);
+  std::vector<const std::vector<std::uint64_t>*> tables(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      start.arrive_and_wait();
+      seen[t] = config.fingerprint();
+      tables[t] = &registry.default_fingerprint_terms();
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  for (int t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(seen[t], expected) << "thread " << t;
+    EXPECT_EQ(tables[t], tables[0]) << "thread " << t;
   }
 }
 

@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cerrno>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
@@ -290,6 +291,23 @@ TEST_F(JournalFormat, FreshJournalRefusesASecondSession) {
   options.journal = &journal;
   TuningSession reused(JvmSimulator(), journal_workload(), options);
   EXPECT_THROW((void)reused.run(strategy), JournalError);
+}
+
+// A failed fsync must never report a record as durable. fsync on /dev/null
+// fails with EINVAL, so the meta record (always synced) must throw, naming
+// the path and the errno; so must an explicit flush.
+TEST_F(JournalFormat, FailedFsyncIsAJournalError) {
+  SessionJournal journal = SessionJournal::create("/dev/null");
+  try {
+    journal.write_meta(sample_meta());
+    FAIL() << "write_meta reported success although fsync failed";
+  } catch (const JournalError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("'/dev/null'"), std::string::npos) << what;
+    EXPECT_NE(what.find("errno " + std::to_string(EINVAL)), std::string::npos)
+        << what;
+  }
+  EXPECT_THROW(journal.flush(), JournalError);
 }
 
 // ---- resume compatibility validation ----------------------------------------

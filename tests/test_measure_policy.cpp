@@ -16,6 +16,7 @@
 #include "determinism_matrix.hpp"
 #include "harness/runner.hpp"
 #include "support/log.hpp"
+#include "support/rng.hpp"
 #include "support/statistics.hpp"
 #include "tuner/algorithms.hpp"
 #include "tuner/search_space.hpp"
@@ -150,6 +151,30 @@ IncumbentSnapshot snapshot_of(const Measurement& m) {
   return IncumbentSnapshot{s.count(), s.mean(), s.m2()};
 }
 
+/// Every repetition of `m` must equal a direct JvmSimulator::run of
+/// `config` at the runner's per-repetition seed, bit for bit: the runner
+/// decodes a configuration once per measurement, and that must not show.
+void expect_reps_equal_direct_runs(const JvmSimulator& sim,
+                                   const BenchmarkRunner& runner,
+                                   const Configuration& config,
+                                   const Measurement& m) {
+  const std::uint64_t fp = config.fingerprint();
+  ASSERT_EQ(m.rep_metrics.size(), m.times_ms.size());
+  for (std::size_t rep = 0; rep < m.times_ms.size(); ++rep) {
+    const RunResult run =
+        sim.run(config, runner.workload(),
+                mix64(runner.runner_options().seed, mix64(fp, rep)));
+    ASSERT_FALSE(run.crashed) << "rep " << rep;
+    EXPECT_EQ(m.times_ms[rep], run.total_time.as_millis()) << "rep " << rep;
+    const MetricVector& metrics = m.rep_metrics[rep];
+    EXPECT_EQ(metrics[MetricId::kStartupTimeMs], run.startup_time.as_millis());
+    EXPECT_EQ(metrics[MetricId::kThroughput], run.throughput());
+    EXPECT_EQ(metrics[MetricId::kGcPauseMaxMs], run.gc_pause_max.as_millis());
+    EXPECT_EQ(metrics[MetricId::kGcPauseTotalMs],
+              run.gc_pause_total.as_millis());
+  }
+}
+
 class MeasurePolicyRunnerTest : public ::testing::Test {
  protected:
   MeasurePolicyRunnerTest() { set_log_level(LogLevel::kWarn); }
@@ -260,6 +285,58 @@ TEST_F(MeasurePolicyRunnerTest, TopUpMergeIsBitIdenticalToFromScratch) {
   const Measurement again = runner.measure(slow());
   EXPECT_EQ(again.times_ms, merged.times_ms);
   EXPECT_EQ(runner.runs_executed() - runs_after_base, 8);
+}
+
+TEST_F(MeasurePolicyRunnerTest, DecodeOnceMatchesDirectRunsOnStartableConfig) {
+  BenchmarkRunner runner = make_runner(MeasurementPolicyOptions{});
+  for (const Configuration& config : {defaults(), slow()}) {
+    const Measurement m = runner.measure(config);
+    ASSERT_TRUE(m.valid());
+    ASSERT_EQ(m.times_ms.size(), 3u);
+    expect_reps_equal_direct_runs(sim_, runner, config, m);
+  }
+}
+
+TEST_F(MeasurePolicyRunnerTest, DecodeOnceKeepsTheRefusedStartResult) {
+  Configuration config = defaults();
+  config.set_bool("UseParNewGC", true);  // requires CMS: a refused start
+  BenchmarkRunner runner = make_runner(MeasurementPolicyOptions{});
+  BudgetClock budget(SimTime::minutes(10));
+  const Measurement m = runner.measure(config, &budget);
+  const RunResult direct =
+      sim_.run(config, runner.workload(),
+               mix64(runner.runner_options().seed,
+                     mix64(config.fingerprint(), 0)));
+  ASSERT_TRUE(direct.crashed);
+  EXPECT_EQ(direct.total_time, SimTime::seconds(1.0));
+  EXPECT_TRUE(m.crashed);
+  EXPECT_EQ(m.crash_reason, direct.crash_reason);
+  EXPECT_EQ(m.fault, FaultClass::kDeterministic);
+  EXPECT_EQ(m.failed_reps, 1);  // fail-fast: one refused start
+  EXPECT_EQ(budget.spent(),
+            direct.total_time +
+                SimTime::seconds(runner.runner_options().per_run_overhead_s));
+}
+
+TEST_F(MeasurePolicyRunnerTest, DecodeOnceMatchesDirectRunsAcrossTopUp) {
+  MeasurementPolicyOptions policy = adaptive_options();
+  policy.max_reps = 8;
+  policy.ci_rel = 0.0005;  // never converges at this noise: runs to the cap
+  BenchmarkRunner runner = make_runner(policy);
+  const Measurement base = runner.measure(defaults());
+  EvalHints race;
+  race.incumbent = snapshot_of(base);
+  const Measurement partial = runner.measure(slow(), nullptr, race);
+  ASSERT_EQ(partial.stop, StopReason::kRacedOut);
+  expect_reps_equal_direct_runs(sim_, runner, slow(), partial);
+
+  // The continuation decodes again and resumes at the absolute repetition
+  // index: every merged repetition is still the direct run.
+  EvalHints topup;
+  topup.top_up = true;
+  const Measurement merged = runner.measure(slow(), nullptr, topup);
+  ASSERT_EQ(merged.times_ms.size(), 8u);
+  expect_reps_equal_direct_runs(sim_, runner, slow(), merged);
 }
 
 TEST_F(MeasurePolicyRunnerTest, TopUpLeavesConvergedMeasurementsAlone) {
