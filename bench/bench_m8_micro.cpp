@@ -47,6 +47,39 @@ void BM_SimulateDacapoRun(benchmark::State& state) {
 }
 BENCHMARK(BM_SimulateDacapoRun);
 
+void BM_SimulateTunedRuns(benchmark::State& state) {
+  // What a tuning session simulates: a fixed, seeded corpus of tuned
+  // configurations (random_config at densities 0.05/0.15/0.3, four per
+  // program) over all 16 SPECjvm2008 startup and 13 DaCapo programs, one
+  // run per iteration in corpus order. Parameters are decoded up front, as
+  // the runner does once per measurement, so only the simulator is timed.
+  JvmSimulator sim;
+  const SearchSpace space(FlagHierarchy::hotspot());
+  Rng rng(2015);
+  constexpr double kDensities[] = {0.05, 0.15, 0.3};
+  struct Item {
+    const WorkloadSpec* workload;
+    JvmParams params;
+  };
+  std::vector<Item> corpus;
+  for (const auto* suite : {&specjvm2008_startup(), &dacapo()}) {
+    for (const WorkloadSpec& w : *suite) {
+      for (int i = 0; i < 4; ++i) {
+        const Configuration config = space.random_config(rng, kDensities[i % 3]);
+        if (!first_fatal(config).empty()) continue;  // startable by construction
+        corpus.push_back({&w, decode_params(config)});
+      }
+    }
+  }
+  std::size_t next = 0;
+  std::uint64_t seed = 0;
+  for (auto _ : state) {
+    const Item& item = corpus[next++ % corpus.size()];
+    benchmark::DoNotOptimize(sim.run(item.params, *item.workload, seed++));
+  }
+}
+BENCHMARK(BM_SimulateTunedRuns);
+
 void BM_SimulateRunPerCollector(benchmark::State& state) {
   JvmSimulator sim;
   Configuration config(FlagRegistry::hotspot());

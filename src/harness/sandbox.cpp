@@ -575,7 +575,10 @@ void SandboxedEvaluator::spawn(Worker& worker) {
       // SIGKILL ends it.
       sa.sa_handler = SIG_IGN;
       ::sigaction(SIGTERM, &sa, nullptr);
-      for (volatile std::uint64_t spin = 0;; ++spin) {
+      // A statement, not `++spin`: C++20 deprecates ++ on a volatile.
+      volatile std::uint64_t spin = 0;
+      for (;;) {
+        spin = spin + 1;
       }
     }
 

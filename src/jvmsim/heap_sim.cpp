@@ -51,7 +51,9 @@ HeapSim::HeapSim(const HeapParams& params, const WorkloadSpec& workload,
 
 void HeapSim::set_young_size(double bytes) {
   const double heap = static_cast<double>(heap_capacity_);
-  double young = std::clamp(bytes, 1.0 * kMiB, std::min(max_young_size_, heap * 0.8));
+  // Not std::clamp: the cap can fall below 1 MiB (a tiny MaxNewSize), and
+  // clamp with hi < lo is undefined. The cap wins.
+  double young = std::min(std::max(bytes, 1.0 * kMiB), std::min(max_young_size_, heap * 0.8));
   // The boundary cannot move below what the old generation already holds.
   const double min_old = old_used() * 1.05;
   if (heap - young < min_old) young = std::max(1.0 * kMiB, heap - min_old);
@@ -115,12 +117,16 @@ HeapSim::ScavengeResult HeapSim::scavenge() {
   int threshold = max_tenuring_;
   if (adaptive_) {
     const double target = survivor_capacity_ * target_survivor_frac_;
+    // retained_upto[t]: bytes aged 1..t, summed in ascending age order, so
+    // each entry is bit-identical to summing afresh for threshold t.
+    std::array<double, kMaxAge> retained_upto{};
+    double retained = 0;
+    for (int age = 1; age <= max_tenuring_; ++age) {
+      retained += bands_[static_cast<std::size_t>(age)].total();
+      retained_upto[static_cast<std::size_t>(age)] = retained;
+    }
     for (threshold = max_tenuring_; threshold > 0; --threshold) {
-      double retained = 0;
-      for (int age = 1; age <= threshold && age < kMaxAge; ++age) {
-        retained += bands_[static_cast<std::size_t>(age)].total();
-      }
-      if (retained <= target) break;
+      if (retained_upto[static_cast<std::size_t>(threshold)] <= target) break;
     }
     threshold = std::max(threshold, std::min(1, max_tenuring_));
   }
@@ -165,6 +171,10 @@ HeapSim::ScavengeResult HeapSim::scavenge() {
 
   eden_used_ = 0;
   eden_long_ = 0;
+  // Survivor bands change only here; cache their total for note_peak().
+  double survivors = 0;
+  for (const Band& band : bands_) survivors += band.total();
+  survivors_ = survivors;
   note_peak();
   return result;
 }
@@ -198,15 +208,11 @@ double HeapSim::reclaim_old_dead(double bytes) {
 }
 
 double HeapSim::heap_occupancy_frac() const {
-  double survivors = 0;
-  for (const Band& band : bands_) survivors += band.total();
-  return (eden_used_ + survivors + old_used()) / static_cast<double>(heap_capacity_);
+  return (eden_used_ + survivors_ + old_used()) / static_cast<double>(heap_capacity_);
 }
 
 void HeapSim::note_peak() {
-  double survivors = 0;
-  for (const Band& band : bands_) survivors += band.total();
-  peak_used_ = std::max(peak_used_, eden_used_ + survivors + old_used());
+  peak_used_ = std::max(peak_used_, eden_used_ + survivors_ + old_used());
 }
 
 }  // namespace jat

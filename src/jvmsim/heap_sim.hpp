@@ -39,7 +39,8 @@ class HeapSim {
   double young_size() const { return young_size_; }
 
   /// Resizes the young generation (adaptive policies, G1 pause control),
-  /// clamped to [1 MiB, max_young]. Existing occupancy is preserved.
+  /// clamped to [1 MiB, min(max_young, 80% of the heap)]; when that cap is
+  /// below 1 MiB the cap wins. Existing occupancy is preserved.
   void set_young_size(double bytes);
   double max_young_size() const { return max_young_size_; }
 
@@ -138,6 +139,7 @@ class HeapSim {
     double total() const { return mid + long_lived; }
   };
   std::array<Band, kMaxAge> bands_{};
+  double survivors_ = 0;  ///< sum of bands_ totals, as of the last scavenge
 
   // Old generation composition.
   double old_long_ = 0;

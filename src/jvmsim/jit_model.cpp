@@ -26,17 +26,26 @@ double harmonic_pair(double frac_special, double special_speed) {
   return 1.0 / ((1.0 - frac_special) + frac_special / special_speed);
 }
 
+/// Invocation count that triggers a compile to `tier` (1 = C1, 2 = C2).
+double compile_threshold(const JitParams& params, double scale, int tier) {
+  double base;
+  if (params.client_vm) {
+    base = static_cast<double>(params.compile_threshold) * kClientThresholdScale;
+  } else if (!params.tiered) {
+    base = static_cast<double>(params.compile_threshold);
+  } else if (tier == 1) {
+    base = static_cast<double>(params.tier3_invocations);
+  } else {
+    base = static_cast<double>(params.tier4_invocations);
+  }
+  return std::max(1.0, base * scale);
+}
+
 }  // namespace
 
 JitModel::JitModel(const JitParams& params, const WorkloadSpec& workload,
                    const MachineSpec& machine)
-    : params_(params),
-      machine_(machine),
-      jni_frac_(workload.jni_frac),
-      vector_frac_(workload.vector_frac),
-      crypto_frac_(workload.crypto_frac),
-      interp_speed_(workload.interpreter_speed),
-      c1_speed_(workload.c1_speed) {
+    : params_(params), machine_(machine), jni_frac_(workload.jni_frac) {
   const int bucket_count = std::min(kBucketCount, std::max(1, workload.method_count));
   methods_per_bucket_ =
       static_cast<double>(workload.method_count) / bucket_count;
@@ -44,27 +53,32 @@ JitModel::JitModel(const JitParams& params, const WorkloadSpec& workload,
   // before the invocation thresholds would: loop-dominated code (high
   // vectorisable fraction) warms up almost immediately when OSR is on,
   // and pays dearly when it is off.
-  threshold_scale_ = params_.osr
-                         ? 1.0 / (1.0 + 4.0 * workload.vector_frac)
-                         : 1.8 * (1.0 + 2.0 * workload.vector_frac);
+  const double threshold_scale = params_.osr
+                                    ? 1.0 / (1.0 + 4.0 * workload.vector_frac)
+                                    : 1.8 * (1.0 + 2.0 * workload.vector_frac);
 
   // Zipf execution weights; bucket 0 is the hottest.
-  buckets_.resize(static_cast<std::size_t>(bucket_count));
+  const auto count = static_cast<std::size_t>(bucket_count);
+  buckets_.resize(count);
   double total_weight = 0;
-  for (std::size_t i = 0; i < buckets_.size(); ++i) {
+  for (std::size_t i = 0; i < count; ++i) {
     buckets_[i].weight =
         std::pow(static_cast<double>(i + 1), -workload.hot_zipf_exponent);
     total_weight += buckets_[i].weight;
   }
-  for (auto& bucket : buckets_) {
+  invocations_.assign(count, 0.0);
+  invocation_rates_.resize(count);
+  for (std::size_t i = 0; i < count; ++i) {
+    Bucket& bucket = buckets_[i];
     bucket.weight /= total_weight;
-    bucket.invocation_rate =
+    invocation_rates_[i] =
         bucket.weight * workload.invocations_per_work / methods_per_bucket_;
   }
 
   code_size_per_method_ = workload.code_size_per_method * params_.code_bloat;
 
-  if (params_.compile_all && !params_.interpret_only) {
+  const bool compile_all = params_.compile_all && !params_.interpret_only;
+  if (compile_all) {
     // -Xcomp: every *loaded* method is compiled before it first runs, with
     // no profile data. Programs load far more methods than ever get hot,
     // so each bucket's job is inflated by the loaded/executed ratio, and
@@ -76,65 +90,73 @@ JitModel::JitModel(const JitParams& params, const WorkloadSpec& workload,
         loaded_methods / static_cast<double>(workload.method_count);
     params_.c2_quality *= 0.92;
     params_.c1_quality *= 0.95;
-    for (std::size_t i = 0; i < buckets_.size(); ++i) {
-      const int tier = next_tier_for(buckets_[i]);
+  }
+
+  // Per-run constants: nothing below changes while the run lasts.
+  const double crypto = harmonic_pair(workload.crypto_frac, params_.crypto_speed);
+  const double vec = harmonic_pair(workload.vector_frac, params_.vector_quality);
+  tier_speed_[0] = workload.interpreter_speed * params_.interpreter_quality;
+  // C1 gets intrinsics but not the vectorising optimisations.
+  tier_speed_[1] = workload.c1_speed * params_.c1_quality * crypto;
+  tier_speed_[2] = params_.c2_quality * crypto * vec;
+  threshold_[1] = compile_threshold(params_, threshold_scale, 1);
+  threshold_[2] = compile_threshold(params_, threshold_scale, 2);
+  if (params_.client_vm) {
+    top_tier_ = 1;
+  } else if (!params_.tiered) {
+    top_tier_ = 2;
+  } else if (params_.stop_at_level <= 0) {
+    top_tier_ = 0;
+  } else {
+    top_tier_ = params_.stop_at_level >= 4 ? 2 : 1;
+  }
+  for (Bucket& bucket : buckets_) {
+    bucket.mix_weight = (1.0 - jni_frac_) * bucket.weight;
+  }
+
+  enqueue_at_.resize(count);
+  for (std::size_t i = 0; i < count; ++i) refresh_enqueue_state(i);
+  refresh_speed_mix();
+  // A bucket has at most one job queued, so neither list ever reallocates.
+  queue_.reserve(count);
+  finished_.reserve(count);
+
+  if (compile_all) {
+    for (std::size_t i = 0; i < count; ++i) {
+      const int tier = buckets_[i].next_tier;
       if (tier > 0) enqueue(i, tier);
     }
     start_pending_jobs();
   }
 }
 
-double JitModel::threshold_for(const Bucket&, int tier) const {
-  double base;
-  if (params_.client_vm) {
-    base = static_cast<double>(params_.compile_threshold) * kClientThresholdScale;
-  } else if (!params_.tiered) {
-    base = static_cast<double>(params_.compile_threshold);
-  } else if (tier == 1) {
-    base = static_cast<double>(params_.tier3_invocations);
-  } else {
-    base = static_cast<double>(params_.tier4_invocations);
-  }
-  return std::max(1.0, base * threshold_scale_);
-}
-
 int JitModel::next_tier_for(const Bucket& bucket) const {
   if (params_.interpret_only || compiler_disabled_) return -1;
-  const int top_tier = [&] {
-    if (params_.client_vm) return 1;
-    if (!params_.tiered) return 2;
-    if (params_.stop_at_level <= 0) return 0;
-    return params_.stop_at_level >= 4 ? 2 : 1;
-  }();
   const int current = std::max(bucket.tier, bucket.pending_tier);
-  if (current >= top_tier) return -1;
+  if (current >= top_tier_) return -1;
   // Non-tiered server jumps straight to C2; tiered goes through C1 first.
   if (!params_.tiered && !params_.client_vm) return 2;
   return current + 1;
 }
 
-double JitModel::bucket_speed(const Bucket& bucket) const {
-  const double crypto = harmonic_pair(crypto_frac_, params_.crypto_speed);
-  const double vec = harmonic_pair(vector_frac_, params_.vector_quality);
-  switch (bucket.tier) {
-    case 2:
-      return params_.c2_quality * crypto * vec;
-    case 1:
-      // C1 gets intrinsics but not the vectorising optimisations.
-      return c1_speed_ * params_.c1_quality * crypto;
-    default:
-      return interp_speed_ * params_.interpreter_quality;
-  }
+void JitModel::refresh_enqueue_state(std::size_t index) {
+  // A queued bucket cannot enqueue again until its job completes.
+  Bucket& bucket = buckets_[index];
+  bucket.next_tier = bucket.pending_tier >= 0 ? -1 : next_tier_for(bucket);
+  enqueue_at_[index] = bucket.next_tier > 0
+                           ? threshold_[static_cast<std::size_t>(bucket.next_tier)]
+                           : std::numeric_limits<double>::infinity();
 }
 
-double JitModel::speed_mix() const {
+void JitModel::refresh_speed_mix() {
   // Harmonic composition: time per unit of work is the weighted sum of
-  // per-bucket times; JNI work runs at fixed speed 1.
+  // per-bucket times; JNI work runs at fixed speed 1. Always the full sum in
+  // bucket order: an incremental update would round differently.
   double time = jni_frac_ / 1.0;
   for (const Bucket& bucket : buckets_) {
-    time += (1.0 - jni_frac_) * bucket.weight / bucket_speed(bucket);
+    time += bucket.mix_weight / tier_speed_[static_cast<std::size_t>(bucket.tier)];
   }
-  return 1.0 / time;
+  speed_mix_ = 1.0 / time;
 }
 
 int JitModel::busy_compilers() const {
@@ -146,14 +168,14 @@ int JitModel::busy_compilers() const {
 }
 
 double JitModel::work_until_next_enqueue() const {
-  double best = std::numeric_limits<double>::infinity();
-  for (const Bucket& bucket : buckets_) {
-    if (bucket.pending_tier >= 0) continue;
-    const int tier = next_tier_for(bucket);
-    if (tier <= 0) continue;
-    if (bucket.invocation_rate <= 0) continue;
-    const double need = threshold_for(bucket, tier) - bucket.invocations;
-    best = std::min(best, std::max(0.0, need) / bucket.invocation_rate);
+  constexpr double kNever = std::numeric_limits<double>::infinity();
+  double best = kNever;
+  for (std::size_t i = 0; i < enqueue_at_.size(); ++i) {
+    const double threshold = enqueue_at_[i];
+    const double rate = invocation_rates_[i];
+    if (threshold == kNever || rate <= 0) continue;
+    const double need = threshold - invocations_[i];
+    best = std::min(best, std::max(0.0, need) / rate);
   }
   return best;
 }
@@ -175,43 +197,45 @@ SimTime JitModel::time_until_next_completion() const {
 }
 
 void JitModel::advance(double work_delta, SimTime time_delta) {
-  // 1. Invocation counters advance with application work.
+  // 1. Invocation counters advance with application work. Enqueueing
+  // bucket i touches only bucket i's state, so all counters can move first
+  // and the thresholds be checked after, still in bucket order.
   if (work_delta > 0) {
-    for (std::size_t i = 0; i < buckets_.size(); ++i) {
-      Bucket& bucket = buckets_[i];
-      bucket.invocations += bucket.invocation_rate * work_delta;
-      if (bucket.pending_tier >= 0) continue;
-      const int tier = next_tier_for(bucket);
-      if (tier > 0 && bucket.invocations >= threshold_for(bucket, tier)) {
-        enqueue(i, tier);
-      }
+    const std::size_t count = invocations_.size();
+    for (std::size_t i = 0; i < count; ++i) {
+      invocations_[i] += invocation_rates_[i] * work_delta;
+    }
+    for (std::size_t i = 0; i < count; ++i) {
+      if (invocations_[i] >= enqueue_at_[i]) enqueue(i, buckets_[i].next_tier);
     }
   }
 
   // 2. Compile progress advances with wall time.
   if (time_delta > SimTime::zero()) {
     const double seconds = time_delta.as_seconds();
-    std::vector<Job> finished;
+    finished_.clear();
     for (Job& job : queue_) {
       if (!job.in_flight) continue;
       const double rate =
           job.tier == 2 ? machine_.c2_compile_rate : machine_.c1_compile_rate;
       job.remaining_bytes -= rate * seconds;
-      if (job.remaining_bytes <= 1e-3) finished.push_back(job);
+      if (job.remaining_bytes <= 1e-3) finished_.push_back(job);
     }
-    if (!finished.empty()) {
+    if (!finished_.empty()) {
       std::erase_if(queue_, [](const Job& job) {
         return job.in_flight && job.remaining_bytes <= 1e-3;
       });
-      for (const Job& job : finished) complete_job(job);
+      for (const Job& job : finished_) complete_job(job);
+      // Completions (and the flushes they trigger) are the only tier changes.
+      refresh_speed_mix();
     }
   }
   start_pending_jobs();
 }
 
 void JitModel::enqueue(std::size_t index, int tier) {
-  Bucket& bucket = buckets_[index];
-  bucket.pending_tier = tier;
+  buckets_[index].pending_tier = tier;
+  refresh_enqueue_state(index);
   Job job;
   job.bucket = index;
   job.tier = tier;
@@ -244,32 +268,38 @@ bool JitModel::ensure_cache_space(double bytes) {
   if (!params_.code_cache_flushing) {
     // JDK-7 behaviour: "CodeCache is full. Compiler has been disabled."
     compiler_disabled_ = true;
-    for (Bucket& bucket : buckets_) {
+    for (std::size_t i = 0; i < buckets_.size(); ++i) {
+      Bucket& bucket = buckets_[i];
       if (bucket.pending_tier >= 0 && bucket.tier < bucket.pending_tier) {
         bucket.pending_tier = -1;
       }
+      refresh_enqueue_state(i);  // no bucket enqueues again
     }
     queue_.clear();
     return false;
   }
   // Flush coldest compiled buckets until the new code fits.
   while (cache_used_ + bytes > static_cast<double>(params_.code_cache_capacity)) {
-    Bucket* coldest = nullptr;
-    for (Bucket& bucket : buckets_) {
+    std::size_t coldest = buckets_.size();
+    for (std::size_t i = 0; i < buckets_.size(); ++i) {
+      const Bucket& bucket = buckets_[i];
       if (bucket.code_c1 + bucket.code_c2 <= 0) continue;
-      if (coldest == nullptr || bucket.weight < coldest->weight) coldest = &bucket;
-    }
-    if (coldest == nullptr) return false;  // nothing left to flush
-    cache_used_ -= coldest->code_c1 + coldest->code_c2;
-    coldest->code_c1 = 0;
-    coldest->code_c2 = 0;
-    coldest->tier = 0;
-    if (coldest->pending_tier < 0) {
-      // The method interprets again; if it stays hot it re-earns a compile.
-      const int tier = next_tier_for(*coldest);
-      if (tier > 0) {
-        coldest->invocations = threshold_for(*coldest, tier) * kFlushRestartFraction;
+      if (coldest == buckets_.size() || bucket.weight < buckets_[coldest].weight) {
+        coldest = i;
       }
+    }
+    if (coldest == buckets_.size()) return false;  // nothing left to flush
+    Bucket& flushed = buckets_[coldest];
+    cache_used_ -= flushed.code_c1 + flushed.code_c2;
+    flushed.code_c1 = 0;
+    flushed.code_c2 = 0;
+    flushed.tier = 0;
+    refresh_enqueue_state(coldest);
+    if (flushed.next_tier > 0) {
+      // The method interprets again; if it stays hot it re-earns a compile.
+      invocations_[coldest] =
+          threshold_[static_cast<std::size_t>(flushed.next_tier)] *
+          kFlushRestartFraction;
     }
     ++flush_count_;
   }
@@ -282,7 +312,10 @@ void JitModel::complete_job(const Job& job) {
       job.tier == 2 ? machine_.c2_compile_rate : machine_.c1_compile_rate;
   compile_cpu_ += SimTime::seconds(job.total_bytes / rate);
   bucket.pending_tier = -1;
-  if (!ensure_cache_space(job.total_bytes)) return;
+  if (!ensure_cache_space(job.total_bytes)) {
+    refresh_enqueue_state(job.bucket);
+    return;
+  }
 
   cache_used_ += job.total_bytes;
   if (job.tier == 2) {
@@ -304,9 +337,9 @@ void JitModel::complete_job(const Job& job) {
     compiles_c1_ += static_cast<std::int64_t>(methods_per_bucket_ + 0.5);
   }
   // A newly installed tier may immediately qualify for the next one.
-  const int tier = next_tier_for(bucket);
-  if (tier > 0 && bucket.invocations >= threshold_for(bucket, tier)) {
-    enqueue(job.bucket, tier);
+  refresh_enqueue_state(job.bucket);
+  if (invocations_[job.bucket] >= enqueue_at_[job.bucket]) {
+    enqueue(job.bucket, bucket.next_tier);
   }
 }
 

@@ -38,8 +38,11 @@ HeapParams decode_heap(const Configuration& c) {
   // (collectors without one keep this initial size, like real ParNew).
   const std::int64_t ergonomic_young =
       static_cast<std::int64_t>(0.35 * static_cast<double>(h.max_young_size));
-  h.young_size = std::clamp(std::max(new_size, ergonomic_young),
-                            std::int64_t{1} << 20, h.max_young_size);
+  // Not std::clamp: MaxNewSize may lie below the 1 MiB floor, and clamp
+  // with hi < lo is undefined. The cap wins.
+  h.young_size = std::min(std::max(std::max(new_size, ergonomic_young),
+                                   std::int64_t{1} << 20),
+                          h.max_young_size);
 
   h.survivor_ratio = static_cast<int>(c.get_int("SurvivorRatio"));
   h.target_survivor_frac = static_cast<double>(c.get_int("TargetSurvivorRatio")) / 100.0;

@@ -2,7 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <set>
+#include <vector>
+
+#include "flags/hierarchy.hpp"
+#include "flags/validate.hpp"
+#include "jvmsim/params.hpp"
+#include "support/rng.hpp"
 #include "support/units.hpp"
+#include "tuner/search_space.hpp"
 #include "workloads/suites.hpp"
 
 namespace jat {
@@ -179,6 +189,19 @@ TEST_F(EngineTest, CompileAllCompilesUpFront) {
   EXPECT_GT(r.compile_cpu, SimTime::seconds(1));
 }
 
+TEST_F(EngineTest, MaxNewSizeBelowTheYoungFloorCapsTheYoungGeneration) {
+  // The 1 MiB young-size floor lies above this cap, and the cap wins (in
+  // decode_params and in HeapSim::set_young_size alike).
+  config_.set_int("MaxNewSize", 512 * kKiB);
+  const JvmParams p = decode_params(config_);
+  EXPECT_EQ(p.heap.max_young_size, 512 * kKiB);
+  EXPECT_EQ(p.heap.young_size, p.heap.max_young_size);
+  const RunResult r = sim_.run(config_, quick_workload(), 1);
+  ASSERT_FALSE(r.crashed) << r.crash_reason;
+  EXPECT_NEAR(r.work_done, 800.0, 1.0);
+  EXPECT_GT(r.young_gc_count, 0);
+}
+
 TEST_F(EngineTest, TimeoutGuardTripsOnPathologicalRuns) {
   SimOptions options;
   options.max_sim_seconds = 0.5;  // absurdly tight harness timeout
@@ -206,6 +229,118 @@ TEST_F(EngineTest, CmsRunReportsConcurrentWork) {
   ASSERT_FALSE(r.crashed) << r.crash_reason;
   EXPECT_GT(r.concurrent_cycles, 0);
   EXPECT_GT(r.concurrent_gc_cpu, SimTime::zero());
+}
+
+// ---- simulator output pin ----------------------------------------------------
+// Every RunResult field, bit for bit, over the defaults plus a seeded
+// random-configuration corpus on all 29 suite programs. The goldens cover a
+// few workloads on the default JIT paths; this pin covers the rest, so a
+// hot-path rewrite that moves one rounding anywhere in the simulator fails
+// here. Never regenerate the literal to make a change pass: a new value
+// means the simulator's output changed.
+
+class ResultHash {
+ public:
+  void add(std::uint64_t word) { value_ = mix64(value_, word); }
+  void add_int(std::int64_t v) { add(static_cast<std::uint64_t>(v)); }
+  void add_time(SimTime t) { add_int(t.as_micros()); }
+  void add_double(double v) { add(std::bit_cast<std::uint64_t>(v)); }
+  void add_text(const std::string& text) {
+    add(text.size());
+    add(fnv1a64(text));
+  }
+
+  void add(const RunResult& r) {
+    add(r.crashed ? 1 : 0);
+    add_text(r.crash_reason);
+    add_time(r.total_time);
+    add_time(r.startup_time);
+    add_double(r.work_done);
+    add_int(r.young_gc_count);
+    add_int(r.full_gc_count);
+    add_int(r.concurrent_cycles);
+    add_int(r.concurrent_mode_failures);
+    add_int(r.promotion_failures);
+    add_time(r.gc_pause_total);
+    add_time(r.gc_pause_max);
+    add_time(r.concurrent_gc_cpu);
+    add_int(r.peak_heap_used);
+    add_int(r.heap_capacity);
+    add_int(r.compiles_c1);
+    add_int(r.compiles_c2);
+    add_time(r.compile_cpu);
+    add_int(r.code_cache_used);
+    add(r.code_cache_disabled ? 1 : 0);
+    add_int(r.code_cache_flushes);
+    add_time(r.lock_overhead);
+    add_time(r.safepoint_overhead);
+    add_time(r.class_load_time);
+  }
+
+  std::uint64_t value() const { return value_; }
+
+ private:
+  std::uint64_t value_ = 0;
+};
+
+TEST(SimulatorOutputPin, EveryRunResultFieldIsBitIdentical) {
+  constexpr int kConfigsPerProgram = 20;
+  constexpr double kDensities[] = {0.05, 0.15, 0.3};
+  constexpr std::uint64_t kSeeds[] = {1, 2, 3};
+
+  std::vector<const WorkloadSpec*> programs;
+  for (const WorkloadSpec& w : specjvm2008_startup()) programs.push_back(&w);
+  for (const WorkloadSpec& w : dacapo()) programs.push_back(&w);
+  ASSERT_EQ(programs.size(), 29u);
+
+  const SearchSpace space(FlagHierarchy::hotspot());
+  Rng rng(0x70696e5f32303135ULL);  // "pin_2015"
+  const JvmSimulator sim;
+  ResultHash hash;
+  std::set<GcAlgorithm> collectors;
+  int runs = 0;
+  int compile_all = 0, client = 0, interpret_only = 0, non_tiered = 0;
+  int stop_below_4 = 0, foreground = 0, flushed = 0, disabled = 0;
+
+  for (const WorkloadSpec* program : programs) {
+    std::vector<Configuration> configs{Configuration(FlagRegistry::hotspot())};
+    for (int i = 0; i < kConfigsPerProgram; ++i) {
+      configs.push_back(space.random_config(rng, kDensities[i % 3]));
+    }
+    for (const Configuration& config : configs) {
+      if (first_fatal(config).empty()) {
+        const JvmParams params = decode_params(config);
+        const JitParams& jit = params.jit;
+        collectors.insert(params.gc.algorithm);
+        compile_all += jit.compile_all && !jit.interpret_only;
+        client += jit.client_vm && !jit.interpret_only;
+        interpret_only += jit.interpret_only;
+        non_tiered += !jit.tiered && !jit.client_vm && !jit.interpret_only;
+        stop_below_4 += jit.tiered && jit.stop_at_level < 4 && !jit.interpret_only;
+        foreground += !jit.background && !jit.compile_all && !jit.interpret_only;
+      }
+      for (const std::uint64_t seed : kSeeds) {
+        const RunResult r = sim.run(config, *program, seed);
+        flushed += r.code_cache_flushes > 0;
+        disabled += r.code_cache_disabled;
+        hash.add(r);
+        ++runs;
+      }
+    }
+  }
+
+  EXPECT_EQ(runs, 29 * (kConfigsPerProgram + 1) * 3);
+  // The corpus reaches every simulator path the pin is there to guard.
+  EXPECT_EQ(collectors.size(), 4u);
+  EXPECT_GT(compile_all, 0);
+  EXPECT_GT(client, 0);
+  EXPECT_GT(interpret_only, 0);
+  EXPECT_GT(non_tiered, 0);
+  EXPECT_GT(stop_below_4, 0);
+  EXPECT_GT(foreground, 0);
+  EXPECT_GT(flushed, 0);
+  EXPECT_GT(disabled, 0);
+  EXPECT_EQ(hash.value(), 0x552131e752cbdd70ULL) << std::hex << hash.value();
 }
 
 // Property sweep: every suite workload completes under every collector
