@@ -21,6 +21,7 @@
 #include <string>
 #include <vector>
 
+#include "determinism_matrix.hpp"
 #include "harness/budget.hpp"
 #include "harness/fault.hpp"
 #include "harness/resilient.hpp"
@@ -28,6 +29,7 @@
 #include "support/log.hpp"
 #include "tuner/algorithms.hpp"
 #include "tuner/session.hpp"
+#include "tuner/suite_session.hpp"
 #include "workloads/suites.hpp"
 
 namespace jat {
@@ -501,6 +503,67 @@ TEST_P(JournalResume, CompletedJournalReplaysToTheSameOutcome) {
             resumed.best_config.fingerprint());
   EXPECT_DOUBLE_EQ(reference->best_ms, resumed.best_ms);
   EXPECT_EQ(reference->evaluations, resumed.evaluations);
+}
+
+// The suite arm, by enumeration: cut the journal after every committed
+// evaluation in turn. A configuration committed before the cut and proposed
+// again after it must cost the same member cache hits it cost in the
+// uninterrupted run.
+TEST_P(JournalResume, SuiteResumesBitIdenticallyFromEveryCut) {
+  const ResumeCase param = GetParam();
+  const std::string path = std::string(temp_path("suite_")) + param.strategy +
+                           "_" + std::to_string(param.eval_threads) + ".jsonl";
+  SessionOptions options = smoke_options(param.eval_threads);
+  options.budget = SimTime::minutes(20);
+
+  std::optional<SuiteOutcome> uninterrupted;
+  {
+    SessionJournal journal = SessionJournal::create(path);
+    SessionOptions journaled = options;
+    journaled.journal = &journal;
+    SuiteTuningSession session(sim_, mini_suite(), journaled);
+    auto strategy = make_strategy(param.strategy);
+    uninterrupted.emplace(session.run(*strategy));
+  }
+  const SuiteOutcome& reference = *uninterrupted;
+  const std::size_t total = reference.db->size();
+  ASSERT_GT(total, 12u);
+
+  for (std::size_t keep = 0; keep < total; ++keep) {
+    const std::string cut = path + ".cut";
+    spit(cut, slurp(path));
+    keep_first_lines(cut, 1 + keep);
+    SessionJournal journal = SessionJournal::resume(cut);
+    ASSERT_EQ(journal.committed().size(), keep);
+    SuiteTuningSession session(sim_, mini_suite(), options);
+    auto strategy = make_strategy(param.strategy);
+    const SuiteOutcome resumed = session.resume(journal, *strategy);
+
+    const std::string label =
+        std::string(param.strategy) + " keep=" + std::to_string(keep);
+    EXPECT_EQ(reference.best_config.fingerprint(),
+              resumed.best_config.fingerprint())
+        << label;
+    EXPECT_EQ(reference.geomean_ratio, resumed.geomean_ratio) << label;
+    EXPECT_EQ(reference.per_workload_improvement,
+              resumed.per_workload_improvement)
+        << label;
+    EXPECT_EQ(reference.evaluations, resumed.evaluations) << label;
+    ASSERT_EQ(reference.db->size(), resumed.db->size()) << label;
+    for (std::size_t i = 0; i < total; ++i) {
+      EXPECT_EQ(reference.db->get(i).fingerprint,
+                resumed.db->get(i).fingerprint)
+          << label << " row " << i;
+      EXPECT_EQ(reference.db->get(i).objective_ms,
+                resumed.db->get(i).objective_ms)
+          << label << " row " << i;
+      if (param.eval_threads == 0) {
+        EXPECT_EQ(reference.db->get(i).budget_spent,
+                  resumed.db->get(i).budget_spent)
+            << label << " row " << i;
+      }
+    }
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -3,35 +3,30 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdlib>
+#include <string>
 
+#include "determinism_matrix.hpp"
+#include "harness/store.hpp"
 #include "support/error.hpp"
-
 #include "support/log.hpp"
 #include "workloads/suites.hpp"
 
 namespace jat {
 namespace {
 
-WorkloadSpec mini(const char* name, double alloc_kib, int methods) {
-  WorkloadSpec w;
-  w.name = name;
-  w.total_work = 400;
-  w.startup_work = 80;
-  w.startup_classes = 1200;
-  w.alloc_rate = alloc_kib * 1024;
-  w.method_count = methods;
-  w.noise_sigma = 0.01;
-  return w;
-}
-
 class SuiteSessionTest : public ::testing::Test {
  protected:
   SuiteSessionTest() { set_log_level(LogLevel::kWarn); }
   JvmSimulator sim_;
 
-  std::vector<WorkloadSpec> mini_suite() {
-    return {mini("mini-alloc", 900, 2500), mini("mini-code", 150, 9000),
-            mini("mini-flat", 300, 4000)};
+  /// Options under which a mini-suite session makes a few dozen commits.
+  static SessionOptions smoke_options() {
+    SessionOptions options;
+    options.budget = SimTime::minutes(30);
+    options.repetitions = 2;
+    options.seed = 31;
+    return options;
   }
 };
 
@@ -122,6 +117,104 @@ TEST_F(SuiteSessionTest, DeterministicAcrossRuns) {
   const SuiteOutcome b = s2.run(t2);
   EXPECT_EQ(a.geomean_ratio, b.geomean_ratio);
   EXPECT_EQ(a.best_config.fingerprint(), b.best_config.fingerprint());
+}
+
+// The determinism matrix, suite arm: pipelined evaluation must not change
+// the suite trajectory.
+TEST_F(SuiteSessionTest, OutcomeIdenticalAcrossEvalThreads) {
+  DeterminismMatrix matrix;
+  matrix.cases = {{.eval_threads = 4}};
+  const SuiteOutcome reference = run_determinism_matrix(
+      sim_, mini_suite(), smoke_options(),
+      [] { return std::make_unique<HierarchicalTuner>(); }, matrix);
+  EXPECT_GT(reference.evaluations, 10);
+}
+
+// The sandboxed arm, with a store attached: forked workers must report the
+// members' store traffic exactly as the in-process session counts it.
+TEST_F(SuiteSessionTest, SandboxedSessionMatchesInProcessWithAStore) {
+  const std::string dir = ::testing::TempDir() + "jat_suite_store";
+  [[maybe_unused]] const int rc = std::system(("rm -rf '" + dir + "'").c_str());
+  {
+    SessionOptions cold = smoke_options();
+    cold.budget = SimTime::minutes(10);
+    cold.store = ResultStore::open(dir);
+    SuiteTuningSession session(sim_, mini_suite(), cold);
+    HierarchicalTuner tuner;
+    (void)session.run(tuner);
+  }
+  SessionOptions base = smoke_options();
+  base.store = ResultStore::open(dir, {.read_only = true});
+  base.warm_start = 2;
+  DeterminismMatrix matrix;
+  matrix.cases = {{.eval_threads = 0, .sandbox = true, .sandbox_workers = 2}};
+  const SuiteOutcome reference = run_determinism_matrix(
+      sim_, mini_suite(), base,
+      [] { return std::make_unique<HierarchicalTuner>(); }, matrix);
+  EXPECT_GT(reference.store_hits, 0);
+  EXPECT_GT(reference.store_appends, 0);
+  EXPECT_GT(reference.warm_seeds, 0);
+}
+
+TEST_F(SuiteSessionTest, TracedSessionEmitsSessionEventsAndMatchesUntraced) {
+  HillClimber untraced_tuner;
+  const SuiteOutcome untraced =
+      SuiteTuningSession(sim_, mini_suite(), smoke_options())
+          .run(untraced_tuner);
+
+  TraceSink sink;
+  SessionOptions options = smoke_options();
+  options.trace = &sink;
+  HillClimber traced_tuner;
+  const SuiteOutcome traced =
+      SuiteTuningSession(sim_, mini_suite(), options).run(traced_tuner);
+  expect_identical_outcome(untraced, traced, DeterminismMatrix{},
+                           /*compare_budget=*/true, "traced");
+
+  std::size_t session_start = 0, baseline = 0, evals = 0, session_end = 0;
+  for (const TraceEvent& event : sink.events()) {
+    if (event.type == "session_start") ++session_start;
+    if (event.type == "baseline") ++baseline;
+    if (event.type == "eval") ++evals;
+    if (event.type == "session_end") ++session_end;
+  }
+  EXPECT_EQ(session_start, 1u);
+  EXPECT_EQ(baseline, 1u);
+  EXPECT_EQ(evals, traced.db->size());
+  EXPECT_EQ(session_end, 1u);
+}
+
+// Suite members never race: a racing factor is refused, not dropped.
+TEST_F(SuiteSessionTest, RacingIsRefusedNamingTheOption) {
+  SessionOptions options = smoke_options();
+  options.racing_factor = 1.3;
+  try {
+    SuiteTuningSession session(sim_, mini_suite(), options);
+    HillClimber tuner;
+    (void)session.run(tuner);
+    FAIL() << "a suite session accepted racing_factor";
+  } catch (const TunerError& error) {
+    EXPECT_NE(std::string(error.what()).find("racing_factor"),
+              std::string::npos)
+        << error.what();
+  }
+}
+
+// The resilience layer wraps suite evaluations too, and is journaled.
+TEST_F(SuiteSessionTest, ResilienceLayerRetriesSuiteEvaluationsAndIsJournaled) {
+  SessionOptions options = smoke_options();
+  options.fault_injection.transient_rate = 0.3;
+  options.resilient = true;
+  SuiteTuningSession session(sim_, mini_suite(), options);
+  EXPECT_TRUE(session.journal_meta("hill").resilient);
+  EXPECT_NE(session.journal_meta("hill").fault_fingerprint, 0u);
+  HillClimber tuner;
+  const SuiteOutcome outcome = session.run(tuner);
+  int retried = 0;
+  for (std::size_t i = 0; i < outcome.db->size(); ++i) {
+    if (outcome.db->get(i).attempts > 1) ++retried;
+  }
+  EXPECT_GT(retried, 0);
 }
 
 }  // namespace
