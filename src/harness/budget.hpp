@@ -5,18 +5,14 @@
 // costs its simulated duration plus a fixed harness overhead (JVM spawn,
 // result collection), so "improvement vs tuning time" curves have the
 // paper's semantics without wall-clock hours. Thread-safe: parallel
-// evaluators charge concurrently.
+// evaluators charge concurrently. Admission is not the clock's business:
+// the EvalScheduler admits on its committed ledger (tuner/scheduler.hpp),
+// which bounds overshoot to one in-flight window.
 //
-// Two mechanisms bound concurrent overshoot:
-//  - try_reserve()/release(): admission control for parallel dispatch.
-//    Without it every in-flight worker passes exhausted() and charges
-//    afterwards, overshooting by up to one full run per worker; with it
-//    at most one admission can straddle the limit (the classic "last run
-//    in flight may overshoot" semantics, but never unbounded).
-//  - MeteredBudget: a pass-through decorator that tallies the charges of
-//    one measurement across every evaluator layer (runner, fault
-//    injector, resilience), so a scheduler can account per-evaluation
-//    cost without modifying any layer.
+// MeteredBudget is a pass-through decorator that tallies the charges of
+// one measurement across every evaluator layer (runner, fault injector,
+// resilience), so a scheduler can account per-evaluation cost without
+// modifying any layer.
 #pragma once
 
 #include <atomic>
@@ -51,40 +47,9 @@ class BudgetClock {
     spent_us_.fetch_add(cost.as_micros(), std::memory_order_relaxed);
   }
 
-  /// Outstanding reservations (estimated cost of admitted-but-uncharged
-  /// work).
-  SimTime reserved() const {
-    return SimTime::micros(reserved_us_.load(std::memory_order_relaxed));
-  }
-
-  /// Admission control for concurrent workers: succeeds while the charged
-  /// plus reserved time leaves any headroom, so the last admitted unit may
-  /// overshoot (like charge()), but total admissions can never run away by
-  /// more than one estimated cost per winner of the final race. Pair every
-  /// successful reservation with release() once the actual cost has been
-  /// charged.
-  bool try_reserve(SimTime estimated_cost) {
-    const std::int64_t cost = estimated_cost.as_micros();
-    std::int64_t reserved = reserved_us_.load(std::memory_order_relaxed);
-    while (true) {
-      const std::int64_t spent_now = spent().as_micros();
-      if (spent_now + reserved >= total_.as_micros()) return false;
-      if (reserved_us_.compare_exchange_weak(reserved, reserved + cost,
-                                             std::memory_order_relaxed)) {
-        return true;
-      }
-    }
-  }
-
-  void release(SimTime estimated_cost) {
-    reserved_us_.fetch_sub(estimated_cost.as_micros(),
-                           std::memory_order_relaxed);
-  }
-
  private:
   SimTime total_;
   std::atomic<std::int64_t> spent_us_{0};
-  std::atomic<std::int64_t> reserved_us_{0};
 };
 
 /// Pass-through decorator that forwards to a parent clock (sharing its
@@ -94,9 +59,6 @@ class BudgetClock {
 /// scheduler the exact budget cost of that evaluation, whatever evaluator
 /// layers charged it. With a null parent it degrades to a free-standing
 /// tally with an unlimited budget.
-///
-/// try_reserve()/release() are not forwarded: reservations belong to the
-/// root clock that admission control runs against.
 class MeteredBudget final : public BudgetClock {
  public:
   explicit MeteredBudget(BudgetClock* parent)
@@ -131,9 +93,6 @@ class MeteredBudget final : public BudgetClock {
 /// resilience layer turns an injected hang — a single lump charge of the
 /// full hang timeout — into a bounded, classified kTimeout instead of a
 /// budget sinkhole.
-///
-/// Like MeteredBudget, reservations are not forwarded; they belong to the
-/// root clock.
 class DeadlineBudget final : public BudgetClock {
  public:
   DeadlineBudget(BudgetClock* parent, SimTime deadline,

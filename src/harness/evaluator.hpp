@@ -14,6 +14,8 @@
 
 namespace jat {
 
+struct EvalCounters;  // harness/fault.hpp
+
 /// Per-call context the session threads down to the measuring evaluator.
 /// Decorators (fault injection, resilience, sandbox) forward it verbatim;
 /// only BenchmarkRunner consumes it. Default-constructed hints mean "no
@@ -44,6 +46,10 @@ class Evaluator {
                       BudgetClock* budget = nullptr) {
     return measure(config, budget, EvalHints{});
   }
+
+  /// This layer's counters plus those of every layer below it. Snapshot;
+  /// thread-safe.
+  virtual EvalCounters counters() const = 0;
 };
 
 }  // namespace jat

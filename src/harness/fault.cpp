@@ -8,44 +8,52 @@
 namespace jat {
 
 FaultStats& FaultStats::operator+=(const FaultStats& other) {
-  transient += other.transient;
-  deterministic += other.deterministic;
-  timeouts += other.timeouts;
-  crashes += other.crashes;
-  retries += other.retries;
-  retry_successes += other.retry_successes;
-  quarantined += other.quarantined;
-  quarantine_hits += other.quarantine_hits;
-  breaker_trips += other.breaker_trips;
-  salvaged += other.salvaged;
-  overcharges += other.overcharges;
-  latency_spikes += other.latency_spikes;
-  hang_cancelled += other.hang_cancelled;
+  for_each_fault_counter(
+      [](const char*, std::int64_t& mine, std::int64_t theirs) {
+        mine += theirs;
+      },
+      *this, other);
+  return *this;
+}
+
+FaultStats& FaultStats::operator-=(const FaultStats& other) {
+  for_each_fault_counter(
+      [](const char*, std::int64_t& mine, std::int64_t theirs) {
+        mine -= theirs;
+      },
+      *this, other);
+  return *this;
+}
+
+EvalCounters& EvalCounters::operator+=(const EvalCounters& other) {
+  runs += other.runs;
+  cache_hits += other.cache_hits;
+  store_hits += other.store_hits;
+  store_appends += other.store_appends;
+  faults += other.faults;
+  return *this;
+}
+
+EvalCounters& EvalCounters::operator-=(const EvalCounters& other) {
+  runs -= other.runs;
+  cache_hits -= other.cache_hits;
+  store_hits -= other.store_hits;
+  store_appends -= other.store_appends;
+  faults -= other.faults;
   return *this;
 }
 
 std::string FaultStats::to_string() const {
   std::string out;
-  const auto add = [&out](const char* name, std::int64_t value) {
-    if (value == 0) return;
-    if (!out.empty()) out += ' ';
-    out += name;
-    out += '=';
-    out += std::to_string(value);
-  };
-  add("transient", transient);
-  add("deterministic", deterministic);
-  add("timeouts", timeouts);
-  add("crashes", crashes);
-  add("retries", retries);
-  add("retry_successes", retry_successes);
-  add("quarantined", quarantined);
-  add("quarantine_hits", quarantine_hits);
-  add("breaker_trips", breaker_trips);
-  add("salvaged", salvaged);
-  add("overcharges", overcharges);
-  add("latency_spikes", latency_spikes);
-  add("hang_cancelled", hang_cancelled);
+  for_each_fault_counter(
+      [&out](const char* name, std::int64_t value) {
+        if (value == 0) return;
+        if (!out.empty()) out += ' ';
+        out += name;
+        out += '=';
+        out += std::to_string(value);
+      },
+      *this);
   if (out.empty()) out = "clean";
   return out;
 }
@@ -74,6 +82,12 @@ void FaultInjectingEvaluator::add_deterministic_crash(
 FaultStats FaultInjectingEvaluator::stats() const {
   std::lock_guard lock(mutex_);
   return stats_;
+}
+
+EvalCounters FaultInjectingEvaluator::counters() const {
+  EvalCounters counters = inner_->counters();
+  counters.faults += stats();
+  return counters;
 }
 
 Measurement FaultInjectingEvaluator::injected_crash(std::uint64_t fingerprint,

@@ -42,8 +42,43 @@ struct FaultStats {
     return transient + deterministic + timeouts + crashes;
   }
   FaultStats& operator+=(const FaultStats& other);
+  FaultStats& operator-=(const FaultStats& other);
   /// Compact "transient=3 retried=2 ..." rendering of the non-zero counters.
   std::string to_string() const;
+};
+
+/// Calls `visit(name, counter...)` for every FaultStats counter in
+/// declaration order, passing that counter of each of `stats`: the one list
+/// arithmetic, rendering and the sandbox wire format walk.
+template <class Visit, class... Stats>
+void for_each_fault_counter(Visit&& visit, Stats&... stats) {
+  visit("transient", stats.transient...);
+  visit("deterministic", stats.deterministic...);
+  visit("timeouts", stats.timeouts...);
+  visit("crashes", stats.crashes...);
+  visit("retries", stats.retries...);
+  visit("retry_successes", stats.retry_successes...);
+  visit("quarantined", stats.quarantined...);
+  visit("quarantine_hits", stats.quarantine_hits...);
+  visit("breaker_trips", stats.breaker_trips...);
+  visit("salvaged", stats.salvaged...);
+  visit("overcharges", stats.overcharges...);
+  visit("latency_spikes", stats.latency_spikes...);
+  visit("hang_cancelled", stats.hang_cancelled...);
+}
+
+/// What an evaluator stack has done so far (Evaluator::counters()). Each
+/// layer reports its own events plus those of the layer it wraps, so
+/// reading the top of a stack reads the whole stack.
+struct EvalCounters {
+  std::int64_t runs = 0;           ///< simulated JVM launches
+  std::int64_t cache_hits = 0;     ///< answers from a runner's result cache
+  std::int64_t store_hits = 0;     ///< misses answered by the result store
+  std::int64_t store_appends = 0;  ///< measurements published to the store
+  FaultStats faults;
+
+  EvalCounters& operator+=(const EvalCounters& other);
+  EvalCounters& operator-=(const EvalCounters& other);
 };
 
 /// Increments the stats counter matching a measurement's fault class.
@@ -107,6 +142,7 @@ class FaultInjectingEvaluator : public Evaluator {
   const FaultOptions& options() const { return options_; }
   /// Counters for the faults injected so far (snapshot; thread-safe).
   FaultStats stats() const;
+  EvalCounters counters() const override;
 
  private:
   Measurement injected_crash(std::uint64_t fingerprint, FaultClass fault,

@@ -106,61 +106,147 @@ std::uint64_t parse_hex(const std::string& text) {
   return std::strtoull(text.c_str(), nullptr, 16);
 }
 
+// ---- session identity: the meta record's field table -----------------------
+//
+// for_each_meta_field() is the table: one entry per JournalMeta member, in
+// record order, giving the record key, the member, its record form (put /
+// get), the value a journal written before the field existed reads as, and
+// whether resume validates it. meta_to_event(), meta_from_event() and
+// validate_resume_meta() are loops over it, so a journaled option is added
+// by adding one entry.
+
+/// A record value as a mismatch error shows it (doubles as %.17g).
+std::string show(const TraceValue& value) {
+  if (const auto* i = std::get_if<std::int64_t>(&value)) return std::to_string(*i);
+  if (const auto* d = std::get_if<double>(&value)) return render_double(*d);
+  if (const auto* b = std::get_if<bool>(&value)) return *b ? "true" : "false";
+  return std::get<std::string>(value);
+}
+
+/// int and std::size_t members.
+struct IntField {
+  const char* name;
+  std::int64_t absent = 0;
+  bool validated = true;
+  template <class T>
+  TraceValue put(T value) const { return static_cast<std::int64_t>(value); }
+  template <class T>
+  void get(const TraceEvent& event, T& value) const {
+    value = static_cast<T>(event.get_int(name, absent));
+  }
+};
+
+struct TextField {
+  const char* name;
+  const char* absent = "";
+  /// Not written at all while the value is `absent`.
+  bool omit_absent = false;
+  bool validated = true;
+  TraceValue put(const std::string& value) const { return value; }
+  void get(const TraceEvent& event, std::string& value) const {
+    value = event.get_string(name, absent);
+  }
+};
+
+bool omitted(const TextField& field, const std::string& value) {
+  return field.omit_absent && value == field.absent;
+}
+template <class Field, class T>
+bool omitted(const Field&, const T&) {
+  return false;
+}
+
+struct RealField {
+  const char* name;
+  double absent = 0.0;
+  bool validated = true;
+  TraceValue put(double value) const { return value; }
+  void get(const TraceEvent& event, double& value) const {
+    value = event.get_double(name, absent);
+  }
+};
+
+struct FlagField {
+  const char* name;
+  bool validated = true;
+  TraceValue put(bool value) const { return value; }
+  void get(const TraceEvent& event, bool& value) const {
+    value = event.get_bool(name, false);
+  }
+};
+
+/// A SimTime as integer microseconds.
+struct MicrosField {
+  const char* name;
+  bool validated = true;
+  TraceValue put(SimTime value) const { return value.as_micros(); }
+  void get(const TraceEvent& event, SimTime& value) const {
+    value = SimTime::micros(event.get_int(name));
+  }
+};
+
+/// A 64-bit value as a string (it exceeds the int64 range): the seed in
+/// decimal, fingerprints in 0x-prefixed hex.
+struct U64Field {
+  const char* name;
+  int base = 10;
+  bool validated = true;
+  TraceValue put(std::uint64_t value) const {
+    return base == 16 ? render_hex(value) : std::to_string(value);
+  }
+  void get(const TraceEvent& event, std::uint64_t& value) const {
+    value = std::strtoull(event.get_string(name).c_str(), nullptr, base);
+  }
+};
+
+/// Calls `visit(field, member...)` for every JournalMeta member in record
+/// order, passing that member of each of `metas`.
+template <class Visit, class... Meta>
+void for_each_meta_field(Visit&& visit, Meta&... metas) {
+  visit(IntField{"version", -1}, metas.version...);
+  visit(TextField{"kind"}, metas.kind...);
+  // run_time journals carry no objective field (nor the version bump that
+  // goes with one): they stay byte-identical to version 1.
+  visit(TextField{"objective", "run_time", /*omit_absent=*/true},
+        metas.objective...);
+  visit(TextField{"workload"}, metas.workload...);
+  visit(TextField{"tuner"}, metas.tuner...);
+  visit(U64Field{"seed"}, metas.seed...);
+  visit(MicrosField{"budget_us"}, metas.budget...);
+  visit(IntField{"repetitions"}, metas.repetitions...);
+  visit(IntField{"inflight"}, metas.inflight...);
+  // Parallelism changes wall clock, never the trajectory: not validated.
+  visit(IntField{"eval_threads", 0, /*validated=*/false},
+        metas.eval_threads...);
+  visit(RealField{"per_run_overhead_s"}, metas.per_run_overhead_s...);
+  visit(RealField{"racing_factor"}, metas.racing_factor...);
+  // Journals from before the adaptive policy resume with it off.
+  visit(FlagField{"adaptive"}, metas.adaptive...);
+  visit(IntField{"min_reps", 2}, metas.min_reps...);
+  visit(IntField{"max_reps", 10}, metas.max_reps...);
+  visit(RealField{"ci_rel", 0.02}, metas.ci_rel...);
+  visit(RealField{"race_p", 0.05}, metas.race_p...);
+  visit(U64Field{"space_fingerprint", 16}, metas.space_fingerprint...);
+  visit(FlagField{"resilient"}, metas.resilient...);
+  visit(U64Field{"fault_fingerprint", 16}, metas.fault_fingerprint...);
+}
+
 TraceEvent meta_to_event(const JournalMeta& meta) {
   TraceEvent event("journal_meta");
-  event.fields.emplace_back("version", static_cast<std::int64_t>(meta.version));
-  event.fields.emplace_back("kind", meta.kind);
-  // The objective field (and the version bump that goes with it) only
-  // appears for non-default objectives: run_time journals remain
-  // byte-identical to the pre-objective format.
-  if (meta.objective != "run_time") {
-    event.fields.emplace_back("objective", meta.objective);
-  }
-  return std::move(event)
-      .with("workload", meta.workload)
-      .with("tuner", meta.tuner)
-      .with("seed", std::to_string(meta.seed))
-      .with("budget_us", meta.budget.as_micros())
-      .with("repetitions", static_cast<std::int64_t>(meta.repetitions))
-      .with("inflight", static_cast<std::int64_t>(meta.inflight))
-      .with("eval_threads", static_cast<std::int64_t>(meta.eval_threads))
-      .with("per_run_overhead_s", meta.per_run_overhead_s)
-      .with("racing_factor", meta.racing_factor)
-      .with("adaptive", meta.adaptive)
-      .with("min_reps", static_cast<std::int64_t>(meta.min_reps))
-      .with("max_reps", static_cast<std::int64_t>(meta.max_reps))
-      .with("ci_rel", meta.ci_rel)
-      .with("race_p", meta.race_p)
-      .with("space_fingerprint", render_hex(meta.space_fingerprint))
-      .with("resilient", meta.resilient)
-      .with("fault_fingerprint", render_hex(meta.fault_fingerprint));
+  for_each_meta_field(
+      [&](const auto& field, const auto& value) {
+        if (!omitted(field, value)) {
+          event.fields.emplace_back(field.name, field.put(value));
+        }
+      },
+      meta);
+  return event;
 }
 
 JournalMeta meta_from_event(const TraceEvent& event) {
   JournalMeta meta;
-  meta.version = static_cast<int>(event.get_int("version", -1));
-  meta.kind = event.get_string("kind");
-  // Absent in version-1 journals: they were tuned for run time.
-  meta.objective = event.get_string("objective", "run_time");
-  meta.workload = event.get_string("workload");
-  meta.tuner = event.get_string("tuner");
-  meta.seed = std::strtoull(event.get_string("seed", "0").c_str(), nullptr, 10);
-  meta.budget = SimTime::micros(event.get_int("budget_us"));
-  meta.repetitions = static_cast<int>(event.get_int("repetitions"));
-  meta.inflight = static_cast<std::size_t>(event.get_int("inflight"));
-  meta.eval_threads = static_cast<std::size_t>(event.get_int("eval_threads"));
-  meta.per_run_overhead_s = event.get_double("per_run_overhead_s");
-  meta.racing_factor = event.get_double("racing_factor");
-  // Policy fields default to policy-off values when absent (pre-policy
-  // journals), matching the session defaults they validate against.
-  meta.adaptive = event.get_bool("adaptive", false);
-  meta.min_reps = static_cast<int>(event.get_int("min_reps", 2));
-  meta.max_reps = static_cast<int>(event.get_int("max_reps", 10));
-  meta.ci_rel = event.get_double("ci_rel", 0.02);
-  meta.race_p = event.get_double("race_p", 0.05);
-  meta.space_fingerprint = parse_hex(event.get_string("space_fingerprint"));
-  meta.resilient = event.get_bool("resilient");
-  meta.fault_fingerprint = parse_hex(event.get_string("fault_fingerprint"));
+  for_each_meta_field(
+      [&](const auto& field, auto& value) { field.get(event, value); }, meta);
   return meta;
 }
 
@@ -590,57 +676,26 @@ JournalEval make_journal_eval(std::int64_t seq, const Configuration& config,
 
 void validate_resume_meta(const JournalMeta& journaled,
                           const JournalMeta& session) {
-  const auto check = [](bool ok, const char* field, std::string j,
-                        std::string s) {
-    if (!ok) throw JournalError(field, std::move(j), std::move(s));
-  };
-  check(journaled.version == session.version, "version",
-        std::to_string(journaled.version), std::to_string(session.version));
-  check(journaled.kind == session.kind, "kind", journaled.kind, session.kind);
-  check(journaled.objective == session.objective, "objective",
-        journaled.objective, session.objective);
-  check(journaled.workload == session.workload, "workload", journaled.workload,
-        session.workload);
-  check(journaled.tuner == session.tuner, "tuner", journaled.tuner,
-        session.tuner);
-  check(journaled.seed == session.seed, "seed", std::to_string(journaled.seed),
-        std::to_string(session.seed));
-  check(journaled.budget == session.budget, "budget_us",
-        std::to_string(journaled.budget.as_micros()),
-        std::to_string(session.budget.as_micros()));
-  check(journaled.repetitions == session.repetitions, "repetitions",
-        std::to_string(journaled.repetitions),
-        std::to_string(session.repetitions));
-  check(journaled.inflight == session.inflight, "inflight",
-        std::to_string(journaled.inflight), std::to_string(session.inflight));
-  check(journaled.per_run_overhead_s == session.per_run_overhead_s,
-        "per_run_overhead_s", render_double(journaled.per_run_overhead_s),
-        render_double(session.per_run_overhead_s));
-  check(journaled.racing_factor == session.racing_factor, "racing_factor",
-        render_double(journaled.racing_factor),
-        render_double(session.racing_factor));
-  check(journaled.adaptive == session.adaptive, "adaptive",
-        journaled.adaptive ? "true" : "false",
-        session.adaptive ? "true" : "false");
-  check(journaled.min_reps == session.min_reps, "min_reps",
-        std::to_string(journaled.min_reps), std::to_string(session.min_reps));
-  check(journaled.max_reps == session.max_reps, "max_reps",
-        std::to_string(journaled.max_reps), std::to_string(session.max_reps));
-  check(journaled.ci_rel == session.ci_rel, "ci_rel",
-        render_double(journaled.ci_rel), render_double(session.ci_rel));
-  check(journaled.race_p == session.race_p, "race_p",
-        render_double(journaled.race_p), render_double(session.race_p));
-  check(journaled.space_fingerprint == session.space_fingerprint,
-        "space_fingerprint", render_hex(journaled.space_fingerprint),
-        render_hex(session.space_fingerprint));
-  check(journaled.resilient == session.resilient, "resilient",
-        journaled.resilient ? "true" : "false",
-        session.resilient ? "true" : "false");
-  check(journaled.fault_fingerprint == session.fault_fingerprint,
-        "fault_fingerprint", render_hex(journaled.fault_fingerprint),
-        render_hex(session.fault_fingerprint));
-  // eval_threads is deliberately not validated: the determinism contract
-  // makes the trajectory identical for any thread count.
+  for_each_meta_field(
+      [](const auto& field, const auto& in_journal, const auto& in_session) {
+        const TraceValue a = field.put(in_journal);
+        const TraceValue b = field.put(in_session);
+        if (field.validated && a != b) {
+          throw JournalError(field.name, show(a), show(b));
+        }
+      },
+      journaled, session);
+}
+
+std::vector<JournalMetaField> journal_meta_fields() {
+  std::vector<JournalMetaField> fields;
+  JournalMeta meta;
+  for_each_meta_field(
+      [&](const auto& field, const auto&) {
+        fields.push_back({field.name, field.validated});
+      },
+      meta);
+  return fields;
 }
 
 }  // namespace jat

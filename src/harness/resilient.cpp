@@ -25,6 +25,12 @@ FaultStats ResilientEvaluator::stats() const {
   return stats_;
 }
 
+EvalCounters ResilientEvaluator::counters() const {
+  EvalCounters counters = inner_->counters();
+  counters.faults += stats();
+  return counters;
+}
+
 bool ResilientEvaluator::breaker_open() const {
   std::lock_guard lock(mutex_);
   return breaker_open_;

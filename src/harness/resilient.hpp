@@ -61,6 +61,7 @@ class ResilientEvaluator : public Evaluator {
   const ResilienceOptions& resilience_options() const { return options_; }
   /// Counters for the recovery actions taken so far (snapshot; thread-safe).
   FaultStats stats() const;
+  EvalCounters counters() const override;
 
   bool breaker_open() const;
   std::size_t quarantine_size() const;

@@ -38,9 +38,32 @@ void BenchmarkRunner::merge_racing_floor_ms(double first_ms) {
   }
 }
 
+EvalCounters BenchmarkRunner::counters() const {
+  std::lock_guard lock(mutex_);
+  return EvalCounters{.runs = runs_executed_,
+                      .cache_hits = cache_hits_,
+                      .store_hits = store_hits_,
+                      .store_appends = store_appends_,
+                      .faults = stats_};
+}
+
 void BenchmarkRunner::seed_cache(const Measurement& measurement) {
   std::lock_guard lock(mutex_);
   cache_.emplace(measurement.config_fingerprint, measurement);
+}
+
+void BenchmarkRunner::reseed_cache(const Configuration& config) {
+  {
+    std::lock_guard lock(mutex_);
+    if (cache_.count(config.fingerprint()) > 0) return;
+  }
+  // A store-less twin measures it: same options, seeds and time limit, but
+  // its budget, counters and store traffic are its own and are dropped.
+  RunnerOptions options = options_;
+  options.store = nullptr;
+  BenchmarkRunner twin(*simulator_, workload_, options);
+  twin.time_limit_ = time_limit_;
+  seed_cache(twin.measure(config));
 }
 
 void BenchmarkRunner::trace_cache_hit(std::uint64_t fingerprint, bool joined,

@@ -138,11 +138,18 @@ class BenchmarkRunner : public Evaluator {
   /// resume): a replayed configuration that is proposed again after resume
   /// costs a cache hit, exactly as it would have in the uninterrupted run.
   void seed_cache(const Measurement& measurement);
+  /// Rebuilds the cache entry for `config` by measuring it afresh, charging
+  /// no budget, moving no counter, and neither reading nor writing the
+  /// store. Repetition seeds depend only on the configuration, so this
+  /// restores what an earlier full measurement cached (suite resume, where
+  /// member measurements are not journaled).
+  void reseed_cache(const Configuration& config);
 
   /// Rep-level failure counters: timeouts and crashes absorbed into
   /// measurements, and how many partially-failed measurements were
   /// salvaged into valid results.
   FaultStats stats() const;
+  EvalCounters counters() const override;
 
  private:
   /// A cache miss in progress: the leader publishes its result — or the

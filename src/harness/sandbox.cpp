@@ -165,12 +165,9 @@ struct Reply {
   std::int32_t attempts = 1;
   std::int32_t failed_reps = 0;
   std::int64_t cost_us = 0;
-  std::int64_t runs_delta = 0;
-  std::int64_t cache_hits_delta = 0;
-  std::int64_t store_hits_delta = 0;
-  std::int64_t store_appends_delta = 0;
+  /// Change of the wrapped evaluator's counters over this request.
+  EvalCounters delta;
   double racing_floor_ms = 0.0;
-  FaultStats stats_delta;
   std::vector<double> times_ms;
   /// Per-repetition metric matrix, rows aligned with times_ms; doubles
   /// cross the pipe as raw bit patterns, so the parent rebuilds the exact
@@ -181,36 +178,14 @@ struct Reply {
 
 void append_stats(std::string& p, const FaultStats& s) {
   append_u32(p, static_cast<std::uint32_t>(kFaultStatsFields));
-  append_i64(p, s.transient);
-  append_i64(p, s.deterministic);
-  append_i64(p, s.timeouts);
-  append_i64(p, s.crashes);
-  append_i64(p, s.retries);
-  append_i64(p, s.retry_successes);
-  append_i64(p, s.quarantined);
-  append_i64(p, s.quarantine_hits);
-  append_i64(p, s.breaker_trips);
-  append_i64(p, s.salvaged);
-  append_i64(p, s.overcharges);
-  append_i64(p, s.latency_spikes);
-  append_i64(p, s.hang_cancelled);
+  for_each_fault_counter(
+      [&p](const char*, std::int64_t value) { append_i64(p, value); }, s);
 }
 
 bool read_stats(PayloadReader& r, FaultStats& s) {
   if (r.u32() != kFaultStatsFields) return false;
-  s.transient = r.i64();
-  s.deterministic = r.i64();
-  s.timeouts = r.i64();
-  s.crashes = r.i64();
-  s.retries = r.i64();
-  s.retry_successes = r.i64();
-  s.quarantined = r.i64();
-  s.quarantine_hits = r.i64();
-  s.breaker_trips = r.i64();
-  s.salvaged = r.i64();
-  s.overcharges = r.i64();
-  s.latency_spikes = r.i64();
-  s.hang_cancelled = r.i64();
+  for_each_fault_counter(
+      [&r](const char*, std::int64_t& value) { value = r.i64(); }, s);
   return r.ok();
 }
 
@@ -224,12 +199,12 @@ std::string encode_reply(const Reply& reply) {
   append_i64(p, reply.attempts);
   append_i64(p, reply.failed_reps);
   append_i64(p, reply.cost_us);
-  append_i64(p, reply.runs_delta);
-  append_i64(p, reply.cache_hits_delta);
-  append_i64(p, reply.store_hits_delta);
-  append_i64(p, reply.store_appends_delta);
+  append_i64(p, reply.delta.runs);
+  append_i64(p, reply.delta.cache_hits);
+  append_i64(p, reply.delta.store_hits);
+  append_i64(p, reply.delta.store_appends);
   append_f64(p, reply.racing_floor_ms);
-  append_stats(p, reply.stats_delta);
+  append_stats(p, reply.delta.faults);
   append_u32(p, static_cast<std::uint32_t>(reply.times_ms.size()));
   for (const double t : reply.times_ms) append_f64(p, t);
   append_u32(p, static_cast<std::uint32_t>(kMetricCount));
@@ -252,12 +227,12 @@ bool decode_reply(const std::string& payload, Reply& reply) {
   reply.attempts = static_cast<std::int32_t>(r.i64());
   reply.failed_reps = static_cast<std::int32_t>(r.i64());
   reply.cost_us = r.i64();
-  reply.runs_delta = r.i64();
-  reply.cache_hits_delta = r.i64();
-  reply.store_hits_delta = r.i64();
-  reply.store_appends_delta = r.i64();
+  reply.delta.runs = r.i64();
+  reply.delta.cache_hits = r.i64();
+  reply.delta.store_hits = r.i64();
+  reply.delta.store_appends = r.i64();
   reply.racing_floor_ms = r.f64();
-  if (!read_stats(r, reply.stats_delta)) return false;
+  if (!read_stats(r, reply.delta.faults)) return false;
   const std::uint32_t n = r.u32();
   if (!r.ok() || n > kMaxFrameBytes / sizeof(double)) return false;
   reply.times_ms.clear();
@@ -585,20 +560,11 @@ void SandboxedEvaluator::spawn(Worker& worker) {
     Reply reply;
     reply.seq = req.seq;
     reply.fingerprint = req.fingerprint;
-    std::int64_t runs_before = 0;
-    std::int64_t hits_before = 0;
-    std::int64_t store_hits_before = 0;
-    std::int64_t store_appends_before = 0;
-    FaultStats stats_before;
     if (runner_ != nullptr) {
       runner_->set_time_limit(SimTime::micros(req.time_limit_us));
       runner_->set_racing_floor_ms(req.racing_floor_ms);
-      runs_before = runner_->runs_executed();
-      hits_before = runner_->cache_hits();
-      store_hits_before = runner_->store_hits();
-      store_appends_before = runner_->store_appends();
-      stats_before = runner_->stats();
     }
+    const EvalCounters before = inner_->counters();
 
     // Shadow budget primed to the parent's position: the wrapped runner's
     // mid-measurement expiry cuts fire at exactly the same repetition they
@@ -629,29 +595,9 @@ void SandboxedEvaluator::spawn(Worker& worker) {
     reply.times_ms = m.times_ms;
     reply.rep_metrics = m.rep_metrics;
     reply.crash_reason = m.crash_reason;
-    if (runner_ != nullptr) {
-      reply.runs_delta = runner_->runs_executed() - runs_before;
-      reply.cache_hits_delta = runner_->cache_hits() - hits_before;
-      reply.store_hits_delta = runner_->store_hits() - store_hits_before;
-      reply.store_appends_delta =
-          runner_->store_appends() - store_appends_before;
-      reply.racing_floor_ms = runner_->racing_floor_ms();
-      FaultStats delta = runner_->stats();
-      delta.transient -= stats_before.transient;
-      delta.deterministic -= stats_before.deterministic;
-      delta.timeouts -= stats_before.timeouts;
-      delta.crashes -= stats_before.crashes;
-      delta.retries -= stats_before.retries;
-      delta.retry_successes -= stats_before.retry_successes;
-      delta.quarantined -= stats_before.quarantined;
-      delta.quarantine_hits -= stats_before.quarantine_hits;
-      delta.breaker_trips -= stats_before.breaker_trips;
-      delta.salvaged -= stats_before.salvaged;
-      delta.overcharges -= stats_before.overcharges;
-      delta.latency_spikes -= stats_before.latency_spikes;
-      delta.hang_cancelled -= stats_before.hang_cancelled;
-      reply.stats_delta = delta;
-    }
+    reply.delta = inner_->counters();
+    reply.delta -= before;
+    if (runner_ != nullptr) reply.racing_floor_ms = runner_->racing_floor_ms();
 
     const std::string encoded = encode_reply(reply);
     if (inject_torn) {
@@ -744,7 +690,7 @@ Measurement SandboxedEvaluator::classify_death(Worker& worker,
                                     m.crash_reason);
   {
     std::lock_guard lock(stats_mutex_);
-    count_fault(stats_, m.fault);
+    count_fault(counters_.faults, m.fault);
     if (deadline_expired) {
       ++deadline_kills_;
     } else if (m.fault == FaultClass::kTransient) {
@@ -897,13 +843,9 @@ Measurement SandboxedEvaluator::measure(const Configuration& config,
   }
   {
     std::lock_guard stats_lock(stats_mutex_);
-    runs_executed_ += reply.runs_delta;
-    cache_hits_ += reply.cache_hits_delta;
-    store_hits_ += reply.store_hits_delta;
-    store_appends_ += reply.store_appends_delta;
-    stats_ += reply.stats_delta;
+    counters_ += reply.delta;
   }
-  if (trace_ != nullptr && reply.cache_hits_delta > 0) {
+  if (trace_ != nullptr && reply.delta.cache_hits > 0) {
     // Mirror the worker-side cache hit into the parent trace so reports
     // derived from the trace stay complete.
     trace_->emit(TraceEvent("cache_hit",
@@ -912,7 +854,7 @@ Measurement SandboxedEvaluator::measure(const Configuration& config,
                      .with("joined", false));
     trace_->metrics().add("runner.cache_hits");
   }
-  if (trace_ != nullptr && reply.store_hits_delta > 0) {
+  if (trace_ != nullptr && reply.delta.store_hits > 0) {
     // Likewise mirror worker-side store hits (at most one per request:
     // each request measures a single configuration).
     trace_->emit(TraceEvent("store_hit",
@@ -920,8 +862,8 @@ Measurement SandboxedEvaluator::measure(const Configuration& config,
                      .with("fingerprint", fingerprint_hex(fingerprint)));
     trace_->metrics().add("runner.store_hits");
   }
-  if (trace_ != nullptr && reply.store_appends_delta > 0) {
-    trace_->metrics().add("runner.store_appends", reply.store_appends_delta);
+  if (trace_ != nullptr && reply.delta.store_appends > 0) {
+    trace_->metrics().add("runner.store_appends", reply.delta.store_appends);
   }
   return m;
 }
@@ -930,29 +872,11 @@ Measurement SandboxedEvaluator::measure(const Configuration& config,
 // Introspection and shutdown
 // ---------------------------------------------------------------------------
 
-FaultStats SandboxedEvaluator::stats() const {
+EvalCounters SandboxedEvaluator::counters() const {
+  EvalCounters counters = inner_->counters();
   std::lock_guard lock(stats_mutex_);
-  return stats_;
-}
-
-std::int64_t SandboxedEvaluator::runs_executed() const {
-  std::lock_guard lock(stats_mutex_);
-  return runs_executed_;
-}
-
-std::int64_t SandboxedEvaluator::cache_hits() const {
-  std::lock_guard lock(stats_mutex_);
-  return cache_hits_;
-}
-
-std::int64_t SandboxedEvaluator::store_hits() const {
-  std::lock_guard lock(stats_mutex_);
-  return store_hits_;
-}
-
-std::int64_t SandboxedEvaluator::store_appends() const {
-  std::lock_guard lock(stats_mutex_);
-  return store_appends_;
+  counters += counters_;
+  return counters;
 }
 
 std::int64_t SandboxedEvaluator::workers_spawned() const {

@@ -132,8 +132,7 @@ class SandboxedEvaluator : public Evaluator {
   /// Links the BenchmarkRunner at the bottom of the wrapped chain (when
   /// there is one) so the sandbox can forward parent-side state the session
   /// mutates after the fork: the post-baseline time limit and the racing
-  /// floor travel with each request, and run/cache-hit/fault-stat deltas
-  /// travel back with each reply.
+  /// floor travel with each request.
   void link_runner(BenchmarkRunner* runner) { runner_ = runner; }
 
   /// Attaches a trace sink (null to detach): sandbox_spawn / worker_exit /
@@ -143,21 +142,13 @@ class SandboxedEvaluator : public Evaluator {
 
   const SandboxOptions& options() const { return options_; }
 
-  /// Aggregates from worker replies and sandbox-level failures (crash /
-  /// timeout / torn-reply classifications plus the linked runner's rep-level
-  /// stats shipped back in replies). Snapshot; thread-safe.
-  FaultStats stats() const;
-  /// Simulated JVM runs executed across all workers (from reply deltas;
-  /// requires a linked runner to be non-zero).
-  std::int64_t runs_executed() const;
-  /// Cache hits across all workers (from reply deltas; linked runner only).
-  std::int64_t cache_hits() const;
-  /// Cross-session store activity across all workers (from reply deltas;
-  /// linked runner only): misses answered from the store and records
-  /// written behind. Workers reopen the store's file descriptor after
-  /// fork, so their appends lock and land independently of the parent's.
-  std::int64_t store_hits() const;
-  std::int64_t store_appends() const;
+  /// The wrapped evaluator's parent-side counters, plus the deltas each
+  /// worker reply carries of the wrapped evaluator's counters in that
+  /// worker (runs, cache and store traffic, rep-level faults), plus the
+  /// sandbox's own crash / timeout / torn-reply classifications. Workers
+  /// reopen the store's file descriptor after fork, so their appends lock
+  /// and land independently of the parent's. Snapshot; thread-safe.
+  EvalCounters counters() const override;
   std::int64_t workers_spawned() const;
   std::int64_t workers_respawned() const;
   std::int64_t deadline_kills() const;
@@ -193,11 +184,8 @@ class SandboxedEvaluator : public Evaluator {
   std::vector<std::unique_ptr<Worker>> workers_;
 
   mutable std::mutex stats_mutex_;
-  FaultStats stats_;
-  std::int64_t runs_executed_ = 0;
-  std::int64_t cache_hits_ = 0;
-  std::int64_t store_hits_ = 0;
-  std::int64_t store_appends_ = 0;
+  /// Worker reply deltas plus the sandbox's own fault classifications.
+  EvalCounters counters_;
   std::int64_t workers_spawned_ = 0;
   std::int64_t workers_respawned_ = 0;
   std::int64_t deadline_kills_ = 0;

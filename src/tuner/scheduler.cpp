@@ -24,7 +24,17 @@ void EvalScheduler::dispatch(Proposal proposal) {
   if (!flight.replay && ctx_->measurement_policy().adaptive) {
     flight.hints.incumbent = ctx_->incumbent_snapshot();
   }
-  if (ThreadPool* pool = ctx_->pool(); pool != nullptr && !flight.replay) {
+  // A configuration already in the window is measured at delivery, after
+  // the earlier proposal committed, instead of on the pool: otherwise
+  // whichever thread reaches the runner first pays the measurement and the
+  // other the cache hit, and the journal would record that race. This way
+  // the earlier proposal always pays, exactly as in a serial run.
+  const bool duplicate =
+      std::any_of(window_.begin(), window_.end(), [&](const InFlight& f) {
+        return f.fingerprint == flight.fingerprint;
+      });
+  if (ThreadPool* pool = ctx_->pool();
+      pool != nullptr && !flight.replay && !duplicate) {
     // The lambda must not touch the InFlight entry (the deque reallocates);
     // copy the configuration and hints into the task.
     Configuration config = flight.config;

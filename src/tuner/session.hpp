@@ -4,7 +4,9 @@
 // and examples drive. It measures the default configuration first (the
 // baseline the paper reports improvement against), hands the tuner a
 // context wired to a budget clock and a result log, and packages the
-// outcome.
+// outcome. SuiteTuningSession runs the same loop (session.cpp builds the
+// stack for both), and this header holds the one mapping between
+// SessionOptions and the journal's record of session identity.
 #pragma once
 
 #include <cmath>
@@ -20,7 +22,6 @@
 #include "support/trace.hpp"
 #include "jvmsim/engine.hpp"
 #include "tuner/algorithms.hpp"
-#include "tuner/tuner.hpp"
 #include "workloads/workload.hpp"
 
 namespace jat {
@@ -156,6 +157,19 @@ struct TuningOutcome {
   bool cancelled = false;
 };
 
+/// The journaled identity of a session run with `options`: everything a
+/// bit-identical resume depends on (see JournalMeta). `kind` ("single" or
+/// "suite"), `workload` and `tuner` name the session itself.
+JournalMeta journal_meta(const SessionOptions& options, std::string kind,
+                         std::string workload, std::string tuner);
+
+/// The inverse of journal_meta(): sets every option the journal records, so
+/// a session built from `options` validates against `meta`. Options the
+/// record only fingerprints (the fault-injection model) and execution
+/// details it does not record (trace, sandbox, store, journal) are left as
+/// they are; resume still checks the fault fingerprint.
+void restore_session_options(const JournalMeta& meta, SessionOptions& options);
+
 class TuningSession {
  public:
   TuningSession(const JvmSimulator& simulator, WorkloadSpec workload,
@@ -165,10 +179,6 @@ class TuningSession {
   /// EvalScheduler and returns the outcome. Deterministic for fixed
   /// options and any eval_threads (see the contract in tuner/strategy.hpp).
   TuningOutcome run(SearchStrategy& strategy);
-  /// Legacy entry point: wraps the tuner in a LegacyTunerAdapter. Only as
-  /// deterministic as the tune() loop itself — resume is not supported for
-  /// legacy tuners (their proposal order is not reproducible).
-  TuningOutcome run(Tuner& tuner);
 
   /// Resumes a journaled session: validates the journal's metadata against
   /// this session's options (throwing a field-level JournalError on any

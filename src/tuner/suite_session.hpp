@@ -5,7 +5,8 @@
 // how much a single configuration tuned for the *suite* can recover.
 // SuiteRunner aggregates per-workload measurements into one objective (the
 // geometric mean of run times normalised to each workload's default), and
-// SuiteTuningSession drives any Tuner against it. bench_t9_general
+// SuiteTuningSession drives any strategy against it through the same
+// session pipeline as TuningSession (tuner/session.cpp). bench_t9_general
 // compares the result against per-benchmark tuning.
 #pragma once
 
@@ -51,15 +52,17 @@ class SuiteRunner : public Evaluator {
   std::vector<double> measure_each(const Configuration& config,
                                    BudgetClock* budget);
 
+  /// Rebuilds every member's cache entry for `config` (see
+  /// BenchmarkRunner::reseed_cache): no budget, counters or store touched.
+  void reseed_cache(const Configuration& config);
+
   std::size_t size() const { return runners_.size(); }
   const WorkloadSpec& workload(std::size_t index) const {
     return runners_[index]->workload();
   }
 
-  /// Cross-session store activity summed over the member runners (zero
-  /// when RunnerOptions::store is null).
-  std::int64_t store_hits() const;
-  std::int64_t store_appends() const;
+  /// The member runners' counters, summed.
+  EvalCounters counters() const override;
 
  private:
   std::vector<std::unique_ptr<BenchmarkRunner>> runners_;
@@ -93,6 +96,8 @@ struct SuiteOutcome {
 
 class SuiteTuningSession {
  public:
+  /// Throws TunerError when `options.racing_factor` is set: suite members
+  /// never race (the adaptive measurement policy converges them instead).
   SuiteTuningSession(const JvmSimulator& simulator,
                      std::vector<WorkloadSpec> workloads,
                      SessionOptions options = {});
@@ -100,16 +105,17 @@ class SuiteTuningSession {
   /// Tunes one configuration against the whole suite. The budget covers
   /// the complete session (a candidate costs the sum of its per-workload
   /// runs), like tuning against a composite benchmark.
-  /// Runs one strategy through the EvalScheduler against the whole suite.
   SuiteOutcome run(SearchStrategy& strategy);
-  /// Legacy entry point: wraps the tuner in a LegacyTunerAdapter.
-  SuiteOutcome run(Tuner& tuner);
 
-  /// Resumes a journaled suite session (see TuningSession::resume). Member
-  /// runner caches cannot be reseeded from the journal (per-member times
-  /// are not journaled), so a configuration proposed *again* after the
-  /// replayed prefix is re-measured at full cost — see DESIGN.md for the
-  /// divergence caveat.
+  /// Resumes a journaled suite session (see TuningSession::resume). The
+  /// journal holds suite scores, not per-member times, so before the
+  /// baseline every journaled configuration is re-measured into the member
+  /// caches: repetition seeds depend only on the configuration, so the
+  /// caches hold what they held when the session was cut, and a
+  /// configuration proposed again after the replayed prefix costs the same
+  /// cache hits as in the uninterrupted run. The re-measure charges no
+  /// budget, moves no outcome counter and bypasses the store; see DESIGN.md
+  /// for what it cannot restore.
   SuiteOutcome resume(SessionJournal& journal, SearchStrategy& strategy);
 
   /// The metadata record this session would journal (kind "suite"; the

@@ -160,45 +160,6 @@ TuningContext::MeasuredEval TuningContext::replay_next(
   return MeasuredEval{rec.to_measurement(), rec.cost};
 }
 
-double TuningContext::evaluate(const Configuration& config) {
-  EvalHints hints;
-  if (policy_.adaptive) hints.incumbent = incumbent_snapshot();
-  const Measurement m = evaluator_->measure(config, budget_, hints);
-  return record(config, config.fingerprint(), m);
-}
-
-std::vector<double> TuningContext::evaluate_batch(
-    const std::vector<Configuration>& configs) {
-  std::vector<double> objectives(configs.size(),
-                                 std::numeric_limits<double>::infinity());
-  if (pool_ == nullptr || configs.size() <= 1) {
-    for (std::size_t i = 0; i < configs.size(); ++i) {
-      if (i > 0 && budget_->exhausted()) break;  // match serial tuner loops
-      objectives[i] = evaluate(configs[i]);
-    }
-    return objectives;
-  }
-  // Admission decided serially, in index order, before any worker runs:
-  // reserve an estimated per-eval cost for each member and stop admitting
-  // once reservations cover the remaining budget. Workers release their
-  // reservation when the real charge lands, so the clock can overshoot by
-  // at most the estimation error of the runs actually in flight — never by
-  // a whole run per worker.
-  const std::size_t done = db_->size();
-  const SimTime estimate =
-      done > 0 ? budget_->spent() * (1.0 / static_cast<double>(done))
-               : SimTime::zero();
-  std::size_t admitted = 0;
-  while (admitted < configs.size() && budget_->try_reserve(estimate)) {
-    ++admitted;
-  }
-  pool_->parallel_for(admitted, [&](std::size_t i) {
-    objectives[i] = evaluate(configs[i]);
-    budget_->release(estimate);
-  });
-  return objectives;
-}
-
 Configuration TuningContext::best_config() const {
   std::lock_guard lock(mutex_);
   if (!best_config_.has_value()) {

@@ -1,4 +1,5 @@
-// The tuner interface and the context a tuning session hands to it.
+// The context a tuning session hands to its search: evaluation, budget,
+// randomness, the incumbent, and the commit point the EvalScheduler drives.
 #pragma once
 
 #include <memory>
@@ -24,19 +25,13 @@
 
 namespace jat {
 
-/// Everything a tuner needs: evaluation, budget, randomness, and the
+/// Everything a search needs: evaluation, budget, randomness, and the
 /// incumbent. Evaluations are logged to the ResultDb automatically.
-///
-/// The evaluation entry points are virtual so the ask/tell scheduler's
-/// LegacyTunerAdapter can substitute a proxy that routes a legacy
-/// Tuner::tune() loop through the bounded in-flight window (see
-/// tuner/legacy_adapter.hpp) while incumbent/db state stays shared.
 class TuningContext {
  public:
   TuningContext(Evaluator& evaluator, BudgetClock& budget, ResultDb& db,
                 const SearchSpace& space, Rng rng, ThreadPool* pool = nullptr,
                 TraceSink* trace = nullptr);
-  virtual ~TuningContext() = default;
 
   const SearchSpace& space() const { return *space_; }
   Rng& rng() { return rng_; }
@@ -59,26 +54,13 @@ class TuningContext {
 
   /// Sets the label recorded with subsequent evaluations ("structural",
   /// "subtree:gc", ...) and emits a phase-transition trace event.
-  virtual void set_phase(std::string phase);
-
-  /// Measures, logs, and tracks the incumbent. Returns the objective
-  /// (+inf for crashes).
-  virtual double evaluate(const Configuration& config);
-
-  /// Evaluates a batch, in parallel when a thread pool was provided.
-  /// Result i corresponds to configs[i]. Parallel dispatch is admission-
-  /// controlled with BudgetClock::try_reserve (decided serially, in index
-  /// order, before workers launch): once reservations cover the remaining
-  /// budget the rest of the batch is skipped (+inf) instead of overshooting
-  /// by one run per worker.
-  virtual std::vector<double> evaluate_batch(
-      const std::vector<Configuration>& configs);
+  void set_phase(std::string phase);
 
   /// Best configuration seen so far, by value (safe under concurrent
-  /// evaluation). The session seeds this with the default configuration
-  /// before the tuner starts, so it is always callable from tune().
-  virtual Configuration best_config() const;
-  virtual double best_objective() const;
+  /// evaluation). The session commits the default configuration before
+  /// the strategy starts, so it is always callable from begin().
+  Configuration best_config() const;
+  double best_objective() const;
 
   // ---- split evaluation (the ask/tell scheduler's building blocks) ----
 
@@ -225,19 +207,6 @@ class TuningContext {
   /// rebuilt whenever the incumbent changes; feeds incumbent_snapshot().
   RunningStat incumbent_stat_;
   MeasurementPolicyOptions policy_;
-};
-
-/// The legacy synchronous search interface. tune() runs until the budget is
-/// exhausted (checking ctx.exhausted() between evaluations) and relies on
-/// the context to track the best configuration. In-tree algorithms now
-/// implement the ask/tell SearchStrategy interface (tuner/strategy.hpp);
-/// Tuner remains for out-of-tree subclasses, which sessions run through
-/// LegacyTunerAdapter.
-class Tuner {
- public:
-  virtual ~Tuner() = default;
-  virtual std::string name() const = 0;
-  virtual void tune(TuningContext& ctx) = 0;
 };
 
 }  // namespace jat

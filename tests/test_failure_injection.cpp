@@ -43,6 +43,15 @@ FaultOptions transient_only(double rate, std::uint64_t seed = 99) {
   return options;
 }
 
+/// Measures and commits the default configuration as the session baseline
+/// (what a session does before its strategy starts).
+void commit_defaults(TuningContext& ctx, const SearchSpace& space) {
+  ctx.set_phase("default");
+  const Configuration defaults(space.registry());
+  TuningContext::MeasuredEval base = ctx.measure_only(defaults);
+  ctx.commit(defaults, defaults.fingerprint(), base, /*replayed=*/false);
+}
+
 class FailureInjection : public ::testing::Test {
  protected:
   FailureInjection() { set_log_level(LogLevel::kOff); }
@@ -68,8 +77,7 @@ class FailureInjection : public ::testing::Test {
     ResultDb db;
     const SearchSpace space(FlagHierarchy::hotspot());
     TuningContext ctx(evaluator, budget, db, space, Rng(3));
-    ctx.set_phase("default");
-    ctx.evaluate(Configuration(space.registry()));
+    commit_defaults(ctx, space);
     EvalScheduler(ctx).run(strategy);
     EXPECT_GT(db.size(), 0u);
     // Budget never silently ignored: the tuner stopped near exhaustion.
@@ -365,8 +373,7 @@ TEST_F(FailureInjection, TotalHarnessFailureStillTerminates) {
   ResultDb db;
   const SearchSpace space(FlagHierarchy::hotspot());
   TuningContext ctx(resilient, budget, db, space, Rng(1));
-  ctx.set_phase("default");
-  ctx.evaluate(Configuration(space.registry()));
+  commit_defaults(ctx, space);
   EvalScheduler(ctx).run(tuner);  // must not hang or throw
   EXPECT_TRUE(budget.exhausted());
   EXPECT_TRUE(std::isinf(ctx.best_objective()));
@@ -387,8 +394,7 @@ TEST_F(FailureInjection, IncumbentFiniteWheneverAnyFiniteResultExists) {
     ResultDb db;
     const SearchSpace space(FlagHierarchy::hotspot());
     TuningContext ctx(resilient, budget, db, space, Rng(seed));
-    ctx.set_phase("default");
-    ctx.evaluate(Configuration(space.registry()));
+    commit_defaults(ctx, space);
     HierarchicalTuner tuner;
     EvalScheduler(ctx).run(tuner);
     if (std::isfinite(db.best_objective())) {

@@ -15,6 +15,7 @@
 #include <cstdio>
 #include <fstream>
 #include <limits>
+#include <map>
 #include <memory>
 #include <optional>
 #include <sstream>
@@ -24,6 +25,7 @@
 #include "determinism_matrix.hpp"
 #include "harness/budget.hpp"
 #include "harness/fault.hpp"
+#include "harness/objective.hpp"
 #include "harness/resilient.hpp"
 #include "support/cancellation.hpp"
 #include "support/log.hpp"
@@ -352,6 +354,109 @@ TEST_F(JournalFormat, ValidateResumeMetaPinpointsTheMismatchedField) {
   JournalMeta session = journaled;
   session.eval_threads = 16;
   EXPECT_NO_THROW(validate_resume_meta(journaled, session));
+}
+
+// Property over the meta field table: set each field in turn to a value
+// other than sample_meta()'s; written, read back and validated against the
+// unchanged meta, the mismatch names exactly that field (eval_threads reads
+// back but is never a mismatch).
+TEST_F(JournalFormat, EveryMetaFieldRoundTripsAndValidatesByName) {
+  const std::map<std::string, void (*)(JournalMeta&)> perturb = {
+      {"version", [](JournalMeta& m) { m.version = 2; }},
+      {"kind", [](JournalMeta& m) { m.kind = "suite"; }},
+      {"objective", [](JournalMeta& m) { m.objective = "pause_max"; }},
+      {"workload", [](JournalMeta& m) { m.workload = "other"; }},
+      {"tuner", [](JournalMeta& m) { m.tuner = "hill"; }},
+      {"seed", [](JournalMeta& m) { m.seed += 1; }},
+      {"budget_us",
+       [](JournalMeta& m) { m.budget = m.budget + SimTime::micros(1); }},
+      {"repetitions", [](JournalMeta& m) { m.repetitions += 1; }},
+      {"inflight", [](JournalMeta& m) { m.inflight += 1; }},
+      {"eval_threads", [](JournalMeta& m) { m.eval_threads += 3; }},
+      {"per_run_overhead_s",
+       [](JournalMeta& m) { m.per_run_overhead_s += 0.25; }},
+      {"racing_factor", [](JournalMeta& m) { m.racing_factor = 1.3; }},
+      {"adaptive", [](JournalMeta& m) { m.adaptive = !m.adaptive; }},
+      {"min_reps", [](JournalMeta& m) { m.min_reps += 1; }},
+      {"max_reps", [](JournalMeta& m) { m.max_reps += 1; }},
+      {"ci_rel", [](JournalMeta& m) { m.ci_rel *= 2; }},
+      {"race_p", [](JournalMeta& m) { m.race_p *= 2; }},
+      {"space_fingerprint",
+       [](JournalMeta& m) { m.space_fingerprint ^= 0xFF; }},
+      {"resilient", [](JournalMeta& m) { m.resilient = !m.resilient; }},
+      {"fault_fingerprint", [](JournalMeta& m) { m.fault_fingerprint = 7; }},
+  };
+  const std::vector<JournalMetaField> fields = journal_meta_fields();
+  ASSERT_EQ(fields.size(), perturb.size()) << "a table field has no case";
+
+  const JournalMeta base = sample_meta();
+  const std::string path = temp_path("meta_fields.jsonl");
+  for (const JournalMetaField& field : fields) {
+    ASSERT_EQ(perturb.count(field.name), 1u) << field.name;
+    JournalMeta changed = base;
+    perturb.at(field.name)(changed);
+    {
+      SessionJournal journal = SessionJournal::create(path);
+      journal.write_meta(changed);
+    }
+    SessionJournal reread = SessionJournal::resume(path);
+    if (!field.validated) {
+      EXPECT_EQ(reread.meta().eval_threads, changed.eval_threads);
+      EXPECT_NO_THROW(validate_resume_meta(reread.meta(), base)) << field.name;
+      continue;
+    }
+    try {
+      validate_resume_meta(reread.meta(), base);
+      ADD_FAILURE() << "no mismatch reported for " << field.name;
+    } catch (const JournalError& error) {
+      EXPECT_EQ(error.field(), field.name);
+    }
+  }
+}
+
+// The session-side pair: options to meta, through the restore, and back to
+// meta is the identity.
+TEST_F(JournalFormat, RestoredOptionsJournalTheSameMeta) {
+  SessionOptions options;
+  options.budget = SimTime::minutes(33);
+  options.repetitions = 4;
+  options.seed = 0xDEADBEEFCAFEF00DULL;
+  options.eval_threads = 3;
+  options.inflight = 5;
+  options.per_run_overhead_s = 1.5;
+  options.racing_factor = 1.3;
+  options.objective = make_objective("pause_max");
+  options.measurement.adaptive = true;
+  options.measurement.min_reps = 3;
+  options.measurement.max_reps = 7;
+  options.measurement.ci_rel = 0.03;
+  options.measurement.race_p = 0.01;
+  options.resilient = true;
+  const JournalMeta meta = journal_meta(options, "single", "w", "t");
+
+  SessionOptions restored;
+  restore_session_options(meta, restored);
+  const JournalMeta again = journal_meta(restored, "single", "w", "t");
+  EXPECT_NO_THROW(validate_resume_meta(meta, again));
+  EXPECT_EQ(again.eval_threads, meta.eval_threads);
+  // Every field the options feed differs from a default session's, so the
+  // identity above is not vacuous.
+  const JournalMeta defaults = journal_meta(SessionOptions{}, "single", "w", "t");
+  EXPECT_NE(defaults.version, meta.version);
+  EXPECT_NE(defaults.objective, meta.objective);
+  EXPECT_NE(defaults.seed, meta.seed);
+  EXPECT_NE(defaults.budget, meta.budget);
+  EXPECT_NE(defaults.repetitions, meta.repetitions);
+  EXPECT_NE(defaults.inflight, meta.inflight);
+  EXPECT_NE(defaults.eval_threads, meta.eval_threads);
+  EXPECT_NE(defaults.per_run_overhead_s, meta.per_run_overhead_s);
+  EXPECT_NE(defaults.racing_factor, meta.racing_factor);
+  EXPECT_NE(defaults.adaptive, meta.adaptive);
+  EXPECT_NE(defaults.min_reps, meta.min_reps);
+  EXPECT_NE(defaults.max_reps, meta.max_reps);
+  EXPECT_NE(defaults.ci_rel, meta.ci_rel);
+  EXPECT_NE(defaults.race_p, meta.race_p);
+  EXPECT_NE(defaults.resilient, meta.resilient);
 }
 
 TEST_F(JournalFormat, SessionResumeRefusesAForeignJournal) {

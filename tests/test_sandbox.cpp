@@ -75,7 +75,7 @@ TEST_F(SandboxTest, RoundTripMatchesInProcessBitForBit) {
   EXPECT_EQ(m.failed_reps, expected.failed_reps);
   // The shadow budget's exact metered cost came back as int64 micros.
   EXPECT_EQ(budget.spent(), reference_budget.spent());
-  EXPECT_EQ(sandbox.runs_executed(), reference.runs_executed());
+  EXPECT_EQ(sandbox.counters().runs, reference.runs_executed());
   sandbox.shutdown();
 }
 
@@ -97,8 +97,8 @@ TEST_F(SandboxTest, RepeatFingerprintsHitTheWorkerCache) {
   ASSERT_TRUE(second.valid());
   EXPECT_EQ(second.times_ms, first.times_ms);
   EXPECT_EQ(budget.spent() - after_first, SimTime::seconds(0.05));
-  EXPECT_EQ(sandbox.cache_hits(), 1);
-  EXPECT_EQ(sandbox.runs_executed(), 3);  // simulated once, not twice
+  EXPECT_EQ(sandbox.counters().cache_hits, 1);
+  EXPECT_EQ(sandbox.counters().runs, 3);  // simulated once, not twice
   sandbox.shutdown();
 }
 
@@ -120,7 +120,7 @@ TEST_F(SandboxTest, KilledWorkerIsClassifiedAsCrashAndRespawned) {
   EXPECT_NE(m.crash_reason.find("killed by"), std::string::npos);
   EXPECT_EQ(budget.spent(), options.crash_cost);
   EXPECT_EQ(sandbox.worker_crashes(), 1);
-  EXPECT_EQ(sandbox.stats().crashes, 1);
+  EXPECT_EQ(sandbox.counters().faults.crashes, 1);
 
   // The session survives: the next measurement respawns the worker.
   const Measurement next = sandbox.measure(defaults(), &budget);
@@ -159,7 +159,7 @@ TEST_F(SandboxTest, WedgedWorkerIsEscalatedAndClassifiedAsTimeout) {
   // The harness paid for the whole hang, like an injected-hang timeout.
   EXPECT_EQ(budget.spent(), options.hang_cost);
   EXPECT_EQ(sandbox.deadline_kills(), 1);
-  EXPECT_EQ(sandbox.stats().timeouts, 1);
+  EXPECT_EQ(sandbox.counters().faults.timeouts, 1);
 
   // The wedge ignores SIGTERM, so the watchdog escalated term -> kill.
   std::vector<std::string> stages;

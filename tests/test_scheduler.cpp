@@ -1,8 +1,7 @@
 // EvalScheduler contract tests: the ask/tell trajectory is bit-identical
 // for any eval_threads at a fixed in-flight window, budget overshoot is
-// bounded by one window, BudgetClock admission control survives a
-// many-thread hammer, the LegacyTunerAdapter bridges old tune() loops, and
-// the outcome ratio metrics agree on crashed corners.
+// bounded by one window, BudgetClock charges survive a many-thread hammer,
+// and the outcome ratio metrics agree on crashed corners.
 #include "tuner/scheduler.hpp"
 
 #include <gtest/gtest.h>
@@ -19,7 +18,6 @@
 #include "determinism_matrix.hpp"
 #include "support/log.hpp"
 #include "tuner/algorithms.hpp"
-#include "tuner/legacy_adapter.hpp"
 #include "tuner/session.hpp"
 #include "workloads/suites.hpp"
 
@@ -167,112 +165,26 @@ TEST_F(SchedulerSuite, WindowSizeShapesTheTrajectory) {
   EXPECT_TRUE(any_difference);
 }
 
-// ---- BudgetClock admission control ------------------------------------------
+// ---- BudgetClock under concurrent charges -----------------------------------
 
-// Many threads hammer try_reserve/charge/release concurrently; the sum of
-// admitted work must never exceed budget + one cost quantum per straggler
-// that won the final race (at most one, by the CAS loop's re-check).
-TEST_F(SchedulerSuite, TryReserveHammerNeverRunsAway) {
-  const SimTime total = SimTime::seconds(1000);
+// Many threads charge one clock concurrently (as pooled evaluations do);
+// not a single microsecond may be lost.
+TEST_F(SchedulerSuite, ConcurrentChargesSumExactly) {
   const SimTime cost = SimTime::seconds(3);
-  BudgetClock clock(total);
-  std::atomic<std::int64_t> admitted{0};
+  BudgetClock clock(SimTime::seconds(1000));
   constexpr int kThreads = 16;
+  constexpr int kChargesPerThread = 1000;
   std::vector<std::thread> threads;
   threads.reserve(kThreads);
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&] {
-      while (clock.try_reserve(cost)) {
-        admitted.fetch_add(1, std::memory_order_relaxed);
-        clock.charge(cost);
-        clock.release(cost);
-      }
+      for (int i = 0; i < kChargesPerThread; ++i) clock.charge(cost);
     });
   }
   for (auto& thread : threads) thread.join();
 
-  // Admission stops as soon as charged + reserved covers the budget; each
-  // thread can straddle the limit with at most its own final reservation.
+  EXPECT_EQ(clock.spent(), cost * double(kThreads * kChargesPerThread));
   EXPECT_TRUE(clock.exhausted());
-  EXPECT_LE(clock.spent().as_seconds(),
-            (total + cost * double(kThreads)).as_seconds());
-  EXPECT_EQ(clock.reserved(), SimTime::zero());
-  EXPECT_EQ(admitted.load() * cost.as_seconds(), clock.spent().as_seconds());
-}
-
-TEST_F(SchedulerSuite, TryReserveRefusesWhenNoHeadroom) {
-  BudgetClock clock(SimTime::seconds(10));
-  clock.charge(SimTime::seconds(10));
-  EXPECT_FALSE(clock.try_reserve(SimTime::seconds(1)));
-
-  BudgetClock fresh(SimTime::seconds(10));
-  ASSERT_TRUE(fresh.try_reserve(SimTime::seconds(10)));
-  // Headroom is gone while the reservation is outstanding...
-  EXPECT_FALSE(fresh.try_reserve(SimTime::seconds(1)));
-  fresh.release(SimTime::seconds(10));
-  // ...and back once it is released without being charged.
-  EXPECT_TRUE(fresh.try_reserve(SimTime::seconds(1)));
-}
-
-// ---- LegacyTunerAdapter -----------------------------------------------------
-
-/// A deliberately old-style tuner: blocking evaluate() calls, a blocking
-/// batch, and state carried across them on the tune() stack.
-class LegacyProbe final : public Tuner {
- public:
-  std::string name() const override { return "legacy-probe"; }
-  void tune(TuningContext& ctx) override {
-    while (!ctx.exhausted()) {
-      Configuration candidate = ctx.best_config();
-      ctx.space().mutate(candidate, ctx.rng(), 2);
-      ctx.evaluate(candidate);
-      std::vector<Configuration> batch;
-      for (int i = 0; i < 3; ++i) {
-        Configuration c = ctx.best_config();
-        ctx.space().mutate(c, ctx.rng(), 1);
-        batch.push_back(std::move(c));
-      }
-      const std::vector<double> objectives = ctx.evaluate_batch(batch);
-      ++rounds_;
-      for (double objective : objectives) {
-        if (std::isfinite(objective)) ++finite_results_;
-      }
-    }
-  }
-  int rounds() const { return rounds_; }
-  int finite_results() const { return finite_results_; }
-
- private:
-  int rounds_ = 0;
-  int finite_results_ = 0;
-};
-
-TEST_F(SchedulerSuite, LegacyTunerRunsThroughTheScheduler) {
-  for (std::size_t threads : {std::size_t{0}, std::size_t{4}}) {
-    TuningSession session(sim_, scheduler_workload(), smoke_options(threads));
-    LegacyProbe probe;
-    const TuningOutcome outcome = session.run(probe);  // run(Tuner&) overload
-    EXPECT_EQ(outcome.tuner_name, "legacy-probe");
-    EXPECT_GT(probe.rounds(), 0) << "eval_threads=" << threads;
-    EXPECT_GT(probe.finite_results(), 0) << "eval_threads=" << threads;
-    EXPECT_GE(outcome.evaluations, 2);
-    EXPECT_TRUE(std::isfinite(outcome.best_ms));
-    EXPECT_LE(outcome.best_ms, outcome.default_ms);
-  }
-}
-
-TEST_F(SchedulerSuite, LegacyAdapterPropagatesTunerExceptions) {
-  class Throwing final : public Tuner {
-   public:
-    std::string name() const override { return "throwing"; }
-    void tune(TuningContext& ctx) override {
-      ctx.evaluate(ctx.best_config());
-      throw std::runtime_error("tuner bug");
-    }
-  };
-  TuningSession session(sim_, scheduler_workload(), smoke_options(0));
-  Throwing tuner;
-  EXPECT_THROW((void)session.run(tuner), std::runtime_error);
 }
 
 // ---- TuningOutcome ratio metrics --------------------------------------------

@@ -528,22 +528,10 @@ int main(int argc, char** argv) {
       // only eval_threads (wall-clock parallelism, not trajectory) may be
       // overridden from the command line.
       const JournalMeta& meta = journal->meta();
+      const std::size_t threads = options.eval_threads;
+      restore_session_options(meta, options);
+      if (threads_set) options.eval_threads = threads;
       tuner_name = meta.tuner;
-      options.objective = meta.objective == "run_time"
-                              ? nullptr
-                              : make_objective(meta.objective);
-      options.budget = meta.budget;
-      options.seed = meta.seed;
-      options.repetitions = meta.repetitions;
-      options.inflight = meta.inflight;
-      options.per_run_overhead_s = meta.per_run_overhead_s;
-      options.racing_factor = meta.racing_factor;
-      options.measurement.adaptive = meta.adaptive;
-      options.measurement.min_reps = meta.min_reps;
-      options.measurement.max_reps = meta.max_reps;
-      options.measurement.ci_rel = meta.ci_rel;
-      options.measurement.race_p = meta.race_p;
-      if (!threads_set) options.eval_threads = meta.eval_threads;
       if (meta.kind == "suite") {
         suite = suite_name_for(meta.workload);
         workload.clear();
