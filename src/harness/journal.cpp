@@ -687,15 +687,4 @@ void validate_resume_meta(const JournalMeta& journaled,
       journaled, session);
 }
 
-std::vector<JournalMetaField> journal_meta_fields() {
-  std::vector<JournalMetaField> fields;
-  JournalMeta meta;
-  for_each_meta_field(
-      [&](const auto& field, const auto&) {
-        fields.push_back({field.name, field.validated});
-      },
-      meta);
-  return fields;
-}
-
 }  // namespace jat

@@ -305,15 +305,4 @@ JournalEval make_journal_eval(std::int64_t seq, const Configuration& config,
 void validate_resume_meta(const JournalMeta& journaled,
                           const JournalMeta& session);
 
-/// One field of the meta record, as the field table in journal.cpp — the
-/// single description of how each JournalMeta member is written, read and
-/// validated — lists it.
-struct JournalMetaField {
-  std::string name;  ///< record key, and JournalError::field() on mismatch
-  bool validated;    ///< false only for eval_threads
-};
-
-/// The meta record's fields, in record order.
-std::vector<JournalMetaField> journal_meta_fields();
-
 }  // namespace jat

@@ -24,11 +24,6 @@ BenchmarkRunner::BenchmarkRunner(const JvmSimulator& simulator,
   }
 }
 
-FaultStats BenchmarkRunner::stats() const {
-  std::lock_guard lock(mutex_);
-  return stats_;
-}
-
 void BenchmarkRunner::merge_racing_floor_ms(double first_ms) {
   if (first_ms <= 0.0) return;
   double current = best_first_rep_ms_.load(std::memory_order_relaxed);

@@ -99,13 +99,8 @@ class BenchmarkRunner : public Evaluator {
   void set_time_limit(SimTime limit) { time_limit_ = limit; }
   SimTime time_limit() const { return time_limit_; }
 
-  /// Number of simulated JVM runs launched so far (cache misses only).
-  std::int64_t runs_executed() const { return runs_executed_; }
+  /// Cache hits so far (also in counters()).
   std::int64_t cache_hits() const { return cache_hits_; }
-  /// Cache misses answered by the cross-session store (zero budget) and
-  /// complete measurements written behind to it, respectively.
-  std::int64_t store_hits() const { return store_hits_; }
-  std::int64_t store_appends() const { return store_appends_; }
 
   /// Attaches a trace sink (null to detach): cache hits and single-flight
   /// joins are emitted as `cache_hit` events and counted in the sink's
@@ -145,10 +140,11 @@ class BenchmarkRunner : public Evaluator {
   /// member measurements are not journaled).
   void reseed_cache(const Configuration& config);
 
-  /// Rep-level failure counters: timeouts and crashes absorbed into
-  /// measurements, and how many partially-failed measurements were
-  /// salvaged into valid results.
-  FaultStats stats() const;
+  /// Simulated JVM runs (cache misses only), cache hits, cache misses
+  /// answered by the cross-session store (zero budget), complete
+  /// measurements written behind to it, and rep-level failures: timeouts
+  /// and crashes absorbed into measurements, and how many partially-failed
+  /// measurements were salvaged into valid results.
   EvalCounters counters() const override;
 
  private:

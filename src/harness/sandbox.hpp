@@ -140,8 +140,6 @@ class SandboxedEvaluator : public Evaluator {
   /// from worker replies so trace reports stay complete.
   void set_trace_sink(TraceSink* trace) { trace_ = trace; }
 
-  const SandboxOptions& options() const { return options_; }
-
   /// The wrapped evaluator's parent-side counters, plus the deltas each
   /// worker reply carries of the wrapped evaluator's counters in that
   /// worker (runs, cache and store traffic, rep-level faults), plus the

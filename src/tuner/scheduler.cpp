@@ -29,12 +29,13 @@ void EvalScheduler::dispatch(Proposal proposal) {
   // whichever thread reaches the runner first pays the measurement and the
   // other the cache hit, and the journal would record that race. This way
   // the earlier proposal always pays, exactly as in a serial run.
-  const bool duplicate =
-      std::any_of(window_.begin(), window_.end(), [&](const InFlight& f) {
-        return f.fingerprint == flight.fingerprint;
-      });
+  const auto in_window = [&] {
+    return std::any_of(window_.begin(), window_.end(), [&](const InFlight& f) {
+      return f.fingerprint == flight.fingerprint;
+    });
+  };
   if (ThreadPool* pool = ctx_->pool();
-      pool != nullptr && !flight.replay && !duplicate) {
+      pool != nullptr && !flight.replay && !in_window()) {
     // The lambda must not touch the InFlight entry (the deque reallocates);
     // copy the configuration and hints into the task.
     Configuration config = flight.config;

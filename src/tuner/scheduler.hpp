@@ -50,10 +50,8 @@ class EvalScheduler {
   /// work is never thrown away), and run() returns early.
   void run(SearchStrategy& strategy);
 
-  // Window statistics for the last run (the "window" trace event and the
-  // scheduler-throughput bench).
-  std::int64_t dispatched() const { return dispatched_; }
-  std::size_t max_inflight() const { return max_inflight_; }
+  // Mean window occupancy at delivery over the last run (the "window"
+  // trace event).
   double avg_inflight() const;
   /// True when the last run stopped on cancellation (not budget/strategy).
   bool cancelled_run() const { return cancelled_run_; }

@@ -193,9 +193,6 @@ class TuningSession {
   /// validates against).
   JournalMeta journal_meta(const std::string& tuner_name) const;
 
-  const SessionOptions& session_options() const { return options_; }
-  const WorkloadSpec& workload() const { return workload_; }
-
  private:
   TuningOutcome run_internal(SearchStrategy& strategy, SessionJournal* journal,
                              bool resuming);

@@ -37,7 +37,6 @@ class TuningContext {
   Rng& rng() { return rng_; }
   BudgetClock& budget() { return *budget_; }
   ResultDb& db() { return *db_; }
-  Evaluator& evaluator() { return *evaluator_; }
   ThreadPool* pool() { return pool_; }
 
   bool exhausted() const { return budget_->exhausted(); }
@@ -82,22 +81,12 @@ class TuningContext {
   MeasuredEval measure_only(const Configuration& config,
                             const EvalHints& hints);
 
-  /// Records a completed measurement of `config` (whose fingerprint the
-  /// caller computed once for the whole evaluation): ResultDb row, eval
-  /// trace event, and the incumbent update. Called on the scheduler's
-  /// control thread so row order and the incumbent are deterministic. An
-  /// empty `phase` uses the current set_phase() label. Returns the
-  /// objective.
-  double record(const Configuration& config, std::uint64_t fingerprint,
-                const Measurement& measurement,
-                const std::string& phase = std::string());
-
   /// Commits a completed evaluation: journals it (WAL order — the record is
   /// durable before the result is applied), then record()s it. `replayed`
   /// evaluations came *from* the journal and are not re-journaled. This is
-  /// the scheduler's commit point; record() remains for paths without a
-  /// journal. `fingerprint` is `config.fingerprint()`, computed once by the
-  /// caller and reused for the top-up check, the journal, and the record.
+  /// the scheduler's commit point. `fingerprint` is `config.fingerprint()`,
+  /// computed once by the caller and reused for the top-up check, the
+  /// journal, and the record.
   ///
   /// Under an adaptive measurement policy, a raced-out measurement that
   /// would displace the incumbent is first *topped up*: re-measured to
@@ -173,6 +162,12 @@ class TuningContext {
   MeasuredEval replay_next(std::uint64_t fingerprint);
 
  private:
+  /// Records a completed measurement of `config`: ResultDb row, eval trace
+  /// event, and the incumbent update, on the scheduler's control thread so
+  /// row order and the incumbent are deterministic. An empty `phase` uses
+  /// the current set_phase() label. Returns the objective.
+  double record(const Configuration& config, std::uint64_t fingerprint,
+                const Measurement& measurement, const std::string& phase);
   void consider(const Configuration& config, std::uint64_t fingerprint,
                 const Measurement& measurement, const std::string& phase);
   /// True (under mutex_) when `objective` would displace the incumbent

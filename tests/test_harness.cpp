@@ -185,7 +185,7 @@ TEST_F(RunnerTest, MeasuresRequestedRepetitions) {
   const Measurement m = runner.measure(config_);
   ASSERT_TRUE(m.valid());
   EXPECT_EQ(m.times_ms.size(), 4u);
-  EXPECT_EQ(runner.runs_executed(), 4);
+  EXPECT_EQ(runner.counters().runs, 4);
   EXPECT_GT(m.objective(), 0.0);
 }
 
@@ -194,7 +194,7 @@ TEST_F(RunnerTest, CachesByFingerprint) {
   const Measurement a = runner.measure(config_);
   const Measurement b = runner.measure(config_);
   EXPECT_EQ(runner.cache_hits(), 1);
-  EXPECT_EQ(runner.runs_executed(), 3);  // only the first measurement ran
+  EXPECT_EQ(runner.counters().runs, 3);  // only the first measurement ran
   EXPECT_EQ(a.objective(), b.objective());
 }
 
@@ -228,7 +228,7 @@ TEST_F(RunnerTest, CrashedConfigFailsFast) {
   const Measurement m = runner.measure(config_);
   EXPECT_TRUE(m.crashed);
   EXPECT_TRUE(std::isinf(m.objective()));
-  EXPECT_EQ(runner.runs_executed(), 1);  // fail-fast
+  EXPECT_EQ(runner.counters().runs, 1);  // fail-fast
 }
 
 TEST_F(RunnerTest, TimeLimitAbandonsSlowRuns) {
@@ -258,7 +258,7 @@ TEST_F(RunnerTest, ConcurrentMeasurementsAreSafe) {
   for (double o : objectives) EXPECT_TRUE(std::isfinite(o));
   // 8 distinct configs; single-flight deduplication guarantees each is
   // simulated exactly once no matter how the 32 calls interleave.
-  EXPECT_EQ(runner.runs_executed(), 8 * 3);
+  EXPECT_EQ(runner.counters().runs, 8 * 3);
   EXPECT_EQ(runner.cache_hits(), 32 - 8);
 }
 
@@ -276,7 +276,7 @@ TEST_F(RunnerTest, SingleFlightDeduplicatesConcurrentMisses) {
     EXPECT_TRUE(m.valid());
   });
   // One leader ran the simulator; 15 followers waited for its result.
-  EXPECT_EQ(runner.runs_executed(), 3);
+  EXPECT_EQ(runner.counters().runs, 3);
   EXPECT_EQ(runner.cache_hits(), 15);
   // The budget was charged once for the runs plus 15 cache-lookup fees —
   // never double-charged for duplicate simulations.
@@ -346,8 +346,8 @@ TEST_F(RunnerTest, PartialCrashSalvagesValidRepetitions) {
   EXPECT_EQ(m.failed_reps, 2);
   EXPECT_EQ(m.fault, FaultClass::kTimeout);
   EXPECT_TRUE(std::isfinite(m.objective()));
-  EXPECT_EQ(strict.stats().timeouts, 2);
-  EXPECT_EQ(strict.stats().salvaged, 1);
+  EXPECT_EQ(strict.counters().faults.timeouts, 2);
+  EXPECT_EQ(strict.counters().faults.salvaged, 1);
 }
 
 TEST_F(RunnerTest, AllRepetitionsFailedStillReportsCrash) {

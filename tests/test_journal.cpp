@@ -356,10 +356,11 @@ TEST_F(JournalFormat, ValidateResumeMetaPinpointsTheMismatchedField) {
   EXPECT_NO_THROW(validate_resume_meta(journaled, session));
 }
 
-// Property over the meta field table: set each field in turn to a value
-// other than sample_meta()'s; written, read back and validated against the
-// unchanged meta, the mismatch names exactly that field (eval_threads reads
-// back but is never a mismatch).
+// Property over the meta field table: set each field of the record in turn
+// to a value other than sample_meta()'s; written, read back and validated
+// against the unchanged meta, the mismatch names exactly that field
+// (eval_threads reads back but is never a mismatch). The fields come from
+// the written record itself, so a new table entry without a case here fails.
 TEST_F(JournalFormat, EveryMetaFieldRoundTripsAndValidatesByName) {
   const std::map<std::string, void (*)(JournalMeta&)> perturb = {
       {"version", [](JournalMeta& m) { m.version = 2; }},
@@ -386,30 +387,42 @@ TEST_F(JournalFormat, EveryMetaFieldRoundTripsAndValidatesByName) {
       {"resilient", [](JournalMeta& m) { m.resilient = !m.resilient; }},
       {"fault_fingerprint", [](JournalMeta& m) { m.fault_fingerprint = 7; }},
   };
-  const std::vector<JournalMetaField> fields = journal_meta_fields();
-  ASSERT_EQ(fields.size(), perturb.size()) << "a table field has no case";
-
-  const JournalMeta base = sample_meta();
   const std::string path = temp_path("meta_fields.jsonl");
-  for (const JournalMetaField& field : fields) {
-    ASSERT_EQ(perturb.count(field.name), 1u) << field.name;
-    JournalMeta changed = base;
-    perturb.at(field.name)(changed);
+  const auto write_and_reread = [&](const JournalMeta& meta) {
     {
       SessionJournal journal = SessionJournal::create(path);
-      journal.write_meta(changed);
+      journal.write_meta(meta);
     }
-    SessionJournal reread = SessionJournal::resume(path);
-    if (!field.validated) {
-      EXPECT_EQ(reread.meta().eval_threads, changed.eval_threads);
-      EXPECT_NO_THROW(validate_resume_meta(reread.meta(), base)) << field.name;
+    return SessionJournal::resume(path).meta();
+  };
+
+  // The record's keys, with the objective present (a run_time meta omits it).
+  JournalMeta full = sample_meta();
+  full.objective = "footprint";
+  (void)write_and_reread(full);
+  std::string first_line = slurp(path);
+  first_line = first_line.substr(0, first_line.find('\n'));
+  const std::optional<TraceEvent> record =
+      journal_decode_record(first_line, 1);
+  ASSERT_TRUE(record.has_value());
+  ASSERT_EQ(record->fields.size(), perturb.size()) << "a field has no case";
+
+  const JournalMeta base = sample_meta();
+  for (const auto& [name, value] : record->fields) {
+    ASSERT_EQ(perturb.count(name), 1u) << name;
+    JournalMeta changed = base;
+    perturb.at(name)(changed);
+    const JournalMeta reread = write_and_reread(changed);
+    if (name == "eval_threads") {
+      EXPECT_EQ(reread.eval_threads, changed.eval_threads);
+      EXPECT_NO_THROW(validate_resume_meta(reread, base));
       continue;
     }
     try {
-      validate_resume_meta(reread.meta(), base);
-      ADD_FAILURE() << "no mismatch reported for " << field.name;
+      validate_resume_meta(reread, base);
+      ADD_FAILURE() << "no mismatch reported for " << name;
     } catch (const JournalError& error) {
-      EXPECT_EQ(error.field(), field.name);
+      EXPECT_EQ(error.field(), name);
     }
   }
 }

@@ -250,7 +250,7 @@ TEST_F(MeasurePolicyRunnerTest, TopUpMergeIsBitIdenticalToFromScratch) {
   BenchmarkRunner runner = make_runner(policy);
   const Measurement base = runner.measure(defaults());
   ASSERT_TRUE(base.valid());
-  const std::int64_t runs_after_base = runner.runs_executed();
+  const std::int64_t runs_after_base = runner.counters().runs;
 
   // Race the slow candidate out against the incumbent: a truncated,
   // cached partial.
@@ -269,7 +269,7 @@ TEST_F(MeasurePolicyRunnerTest, TopUpMergeIsBitIdenticalToFromScratch) {
   EXPECT_EQ(merged.stop, StopReason::kFull);
   ASSERT_EQ(merged.times_ms.size(), 8u);
   // Only the missing repetitions were executed.
-  EXPECT_EQ(runner.runs_executed() - runs_after_base, 8);
+  EXPECT_EQ(runner.counters().runs - runs_after_base, 8);
 
   // A fresh runner measuring from scratch produces the same repetitions
   // bit for bit: seed continuity makes the merge invisible.
@@ -284,7 +284,7 @@ TEST_F(MeasurePolicyRunnerTest, TopUpMergeIsBitIdenticalToFromScratch) {
   // the cache with the full measurement.
   const Measurement again = runner.measure(slow());
   EXPECT_EQ(again.times_ms, merged.times_ms);
-  EXPECT_EQ(runner.runs_executed() - runs_after_base, 8);
+  EXPECT_EQ(runner.counters().runs - runs_after_base, 8);
 }
 
 TEST_F(MeasurePolicyRunnerTest, DecodeOnceMatchesDirectRunsOnStartableConfig) {
@@ -346,13 +346,13 @@ TEST_F(MeasurePolicyRunnerTest, TopUpLeavesConvergedMeasurementsAlone) {
   BenchmarkRunner runner = make_runner(policy);
   const Measurement first = runner.measure(defaults());
   ASSERT_EQ(first.stop, StopReason::kConverged);
-  const std::int64_t runs = runner.runs_executed();
+  const std::int64_t runs = runner.counters().runs;
 
   EvalHints topup;
   topup.top_up = true;
   const Measurement again = runner.measure(defaults(), nullptr, topup);
   EXPECT_EQ(again.times_ms, first.times_ms);
-  EXPECT_EQ(runner.runs_executed(), runs);  // cache hit, nothing re-run
+  EXPECT_EQ(runner.counters().runs, runs);  // cache hit, nothing re-run
 }
 
 // ---------------------------------------------------------------------------

@@ -75,7 +75,7 @@ TEST_F(SandboxTest, RoundTripMatchesInProcessBitForBit) {
   EXPECT_EQ(m.failed_reps, expected.failed_reps);
   // The shadow budget's exact metered cost came back as int64 micros.
   EXPECT_EQ(budget.spent(), reference_budget.spent());
-  EXPECT_EQ(sandbox.counters().runs, reference.runs_executed());
+  EXPECT_EQ(sandbox.counters().runs, reference.counters().runs);
   sandbox.shutdown();
 }
 

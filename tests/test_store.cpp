@@ -314,8 +314,8 @@ TEST_F(StoreTest, RunnerAnswersRepeatConfigsFromStoreAtZeroBudget) {
   BudgetClock producer_budget(SimTime::minutes(100));
   const Measurement first = producer.measure(config, &producer_budget);
   ASSERT_TRUE(first.valid());
-  EXPECT_EQ(producer.store_appends(), 1);
-  EXPECT_EQ(producer.store_hits(), 0);
+  EXPECT_EQ(producer.counters().store_appends, 1);
+  EXPECT_EQ(producer.counters().store_hits, 0);
   const SimTime paid = producer_budget.spent();
   EXPECT_GT(paid, SimTime::zero());
 
@@ -326,8 +326,8 @@ TEST_F(StoreTest, RunnerAnswersRepeatConfigsFromStoreAtZeroBudget) {
   BenchmarkRunner consumer(sim, workload, consumer_options);
   BudgetClock consumer_budget(SimTime::minutes(100));
   const Measurement replayed = consumer.measure(config, &consumer_budget);
-  EXPECT_EQ(consumer.store_hits(), 1);
-  EXPECT_EQ(consumer.runs_executed(), 0);
+  EXPECT_EQ(consumer.counters().store_hits, 1);
+  EXPECT_EQ(consumer.counters().runs, 0);
   EXPECT_EQ(consumer_budget.spent(), SimTime::zero());
   EXPECT_EQ(replayed.times_ms, first.times_ms);
   EXPECT_EQ(replayed.stop, first.stop);
@@ -335,13 +335,13 @@ TEST_F(StoreTest, RunnerAnswersRepeatConfigsFromStoreAtZeroBudget) {
   // The second query of the same config hits the in-memory cache (normal
   // lookup overhead), not the store again: no infinite free lunch.
   const Measurement cached = consumer.measure(config, &consumer_budget);
-  EXPECT_EQ(consumer.store_hits(), 1);
+  EXPECT_EQ(consumer.counters().store_hits, 1);
   EXPECT_EQ(cached.times_ms, first.times_ms);
   EXPECT_GT(consumer_budget.spent(), SimTime::zero());
 
   // Nothing got re-appended: the store already holds an equal-quality
   // record for this key.
-  EXPECT_EQ(consumer.store_appends(), 0);
+  EXPECT_EQ(consumer.counters().store_appends, 0);
 }
 
 TEST_F(StoreTest, NoStoreReadsPublishesButNeverAnswers) {
@@ -362,9 +362,9 @@ TEST_F(StoreTest, NoStoreReadsPublishesButNeverAnswers) {
   BenchmarkRunner runner(sim, workload, options);
   BudgetClock budget(SimTime::minutes(100));
   runner.measure(config, &budget);
-  EXPECT_EQ(runner.store_hits(), 0);
+  EXPECT_EQ(runner.counters().store_hits, 0);
   EXPECT_GT(budget.spent(), SimTime::zero());
-  EXPECT_GT(runner.runs_executed(), 0);
+  EXPECT_GT(runner.counters().runs, 0);
 }
 
 // ---------------------------------------------------------------------------
