@@ -296,16 +296,45 @@ void BM_StoreLookup(benchmark::State& state) {
 }
 BENCHMARK(BM_StoreLookup);
 
+/// A record shaped like a tuned DaCapo session's: 3-6 repetitions of
+/// full-precision times and 6-metric rows, a 10-20 flag command line;
+/// about 0.9 KB a line on disk.
+StoreRecord tuned_store_record(std::uint64_t cfg, Rng& rng) {
+  StoreRecord record;
+  record.key = StoreKey{0x5eedULL, 0xf00dULL, cfg, "run_time"};
+  record.workload = "h2";
+  const int flags = 10 + static_cast<int>(rng.next_below(11));
+  for (int f = 0; f < flags; ++f) {
+    if (f > 0) record.command_line += ' ';
+    record.command_line += "-XX:TunedFlag" + std::to_string(rng.next_below(600)) +
+                           "=" + std::to_string(rng.next_below(1 << 20));
+  }
+  const int reps = 3 + static_cast<int>(rng.next_below(4));
+  record.rep_metrics.resize(static_cast<std::size_t>(reps));
+  double sum = 0.0;
+  for (MetricVector& row : record.rep_metrics) {
+    for (double& v : row.v) v = rng.uniform(100.0, 30000.0);
+    record.times_ms.push_back(row[MetricId::kTotalTimeMs]);
+    sum += row[MetricId::kTotalTimeMs];
+  }
+  record.objective_value = sum / reps;
+  record.stop = StopReason::kConverged;
+  record.seed = rng.next_u64();
+  return record;
+}
+
 void BM_StoreOpenLoad(benchmark::State& state) {
   // Session-start cost of a warm store: parse + checksum-verify the whole
-  // index. Items/s is records/s over a store of `range(0)` results.
+  // index. Items/s is records/s over a store of `range(0)` tuned-session
+  // records.
   const std::string dir = "bench_m8_store_open.tmp";
   remove_bench_store(dir);
   const std::int64_t records = state.range(0);
   {
     auto store = ResultStore::open(dir);
+    Rng rng(2015);
     for (std::int64_t cfg = 1; cfg <= records; ++cfg) {
-      store->put(bench_store_record(static_cast<std::uint64_t>(cfg)));
+      store->put(tuned_store_record(static_cast<std::uint64_t>(cfg), rng));
     }
   }
   std::int64_t loaded = 0;

@@ -1,10 +1,13 @@
 #include "harness/journal.hpp"
 
 #include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <bit>
 #include <cerrno>
+#include <charconv>
+#include <cmath>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
@@ -41,53 +44,114 @@ std::string journal_encode_record(const TraceEvent& event) {
   return body;
 }
 
-std::optional<TraceEvent> journal_decode_record(const std::string& line,
-                                                std::size_t line_no) {
+namespace {
+
+/// The record's body, everything before its checksum suffix, when the
+/// checksum holds. The body's closing brace is implied: the checksum covers
+/// the body plus '}', hashed in place instead of spliced into a copy.
+std::optional<std::string_view> checked_body(std::string_view line) {
   if (line.size() <= kCrcSuffixLen) return std::nullopt;
-  const std::size_t marker = line.size() - kCrcSuffixLen;
-  if (line.compare(marker, 8, ",\"crc\":\"") != 0 ||
-      line.compare(line.size() - 2, 2, "\"}") != 0) {
+  const std::string_view body = line.substr(0, line.size() - kCrcSuffixLen);
+  const std::string_view suffix = line.substr(body.size());
+  if (!suffix.starts_with(",\"crc\":\"") || !suffix.ends_with("\"}")) {
     return std::nullopt;
   }
-  const std::string hex = line.substr(marker + 8, 16);
-  char* end = nullptr;
-  const std::uint64_t stored = std::strtoull(hex.c_str(), &end, 16);
-  if (end != hex.c_str() + 16) return std::nullopt;
-  std::string body = line.substr(0, marker);
-  body += '}';
-  if (fnv1a64(body) != stored) return std::nullopt;
+  std::size_t consumed = 0;
+  const std::uint64_t stored = decode_uint(suffix.substr(8, 16), 16, &consumed);
+  if (consumed != 16) return std::nullopt;
+  if (fnv1a64("}", fnv1a64(body)) != stored) return std::nullopt;
+  return body;
+}
+
+}  // namespace
+
+std::optional<TraceEvent> journal_decode_record(std::string_view line,
+                                                std::size_t line_no) {
+  const std::optional<std::string_view> body = checked_body(line);
+  if (!body.has_value()) return std::nullopt;
   try {
-    return parse_trace_jsonl_line(body, line_no);
+    return parse_trace_jsonl_line(*body, line_no, /*brace_implied=*/true);
   } catch (const Error&) {
     return std::nullopt;
   }
 }
 
+bool journal_scan_record(std::string_view line, std::size_t line_no,
+                         const JsonFieldVisitor& visit) {
+  const std::optional<std::string_view> body = checked_body(line);
+  if (!body.has_value()) return false;
+  try {
+    scan_trace_jsonl_fields(*body, line_no, /*brace_implied=*/true, visit);
+  } catch (const Error&) {
+    return false;
+  }
+  return true;
+}
+
+bool journal_read_file(int fd, std::string& data) {
+  struct stat st {};
+  const std::size_t expected =
+      ::fstat(fd, &st) == 0 && st.st_size > 0
+          ? static_cast<std::size_t>(st.st_size)
+          : 0;
+  // One spare byte: a file that has not grown ends with a read of 0.
+  data.resize(expected + 1);
+  std::size_t used = 0;
+  for (;;) {
+    if (used == data.size()) data.resize(2 * data.size());
+    const ssize_t n = ::read(fd, data.data() + used, data.size() - used);
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      data.clear();
+      return false;
+    }
+    if (n == 0) break;
+    used += static_cast<std::size_t>(n);
+  }
+  data.resize(used);
+  return true;
+}
+
 std::string journal_render_double(double value) {
-  char buf[48];
-  std::snprintf(buf, sizeof buf, "%.17g", value);
-  return buf;
+  std::string out;
+  append_double(out, value);
+  return out;
 }
 
 std::string journal_render_doubles(const std::vector<double>& values) {
   std::string out;
   for (double t : values) {
     if (!out.empty()) out += ' ';
-    out += journal_render_double(t);
+    append_double(out, t);
   }
   return out;
 }
 
-std::vector<double> journal_parse_doubles(const std::string& text) {
+std::vector<double> journal_parse_doubles(std::string_view text) {
   std::vector<double> out;
-  const char* p = text.c_str();
-  while (*p != '\0') {
-    char* end = nullptr;
-    const double t = std::strtod(p, &end);
-    if (end == p) break;
+  const char* p = text.data();
+  const char* const end = p + text.size();
+  while (p != end) {
+    double t = 0.0;
+    const auto [stop, ec] = std::from_chars(p, end, t);
+    if (ec != std::errc() || (stop != end && *stop != ' ') || std::isnan(t)) {
+      // A token from_chars would read differently from strtod (see
+      // decode_double): strtod reads the rest, exactly as it always has.
+      const std::string rest(p, end);
+      const char* q = rest.c_str();
+      while (*q != '\0') {
+        char* next = nullptr;
+        t = std::strtod(q, &next);
+        if (next == q) break;
+        out.push_back(t);
+        q = next;
+        while (*q == ' ') ++q;
+      }
+      break;
+    }
     out.push_back(t);
-    p = end;
-    while (*p == ' ') ++p;
+    p = stop;
+    while (p != end && *p == ' ') ++p;
   }
   return out;
 }
@@ -257,7 +321,7 @@ std::string render_metrics(const std::vector<MetricVector>& rows) {
   for (const MetricVector& row : rows) {
     for (double value : row.v) {
       if (!out.empty()) out += ' ';
-      out += render_double(value);
+      append_double(out, value);
     }
   }
   return out;
@@ -396,15 +460,9 @@ SessionJournal SessionJournal::resume(const std::string& path,
   }
 
   std::string data;
-  char buf[1 << 16];
-  for (;;) {
-    const ssize_t n = ::read(journal.fd_, buf, sizeof buf);
-    if (n < 0) {
-      throw JournalError("cannot read journal '" + path +
-                         "': " + std::strerror(errno));
-    }
-    if (n == 0) break;
-    data.append(buf, static_cast<std::size_t>(n));
+  if (!journal_read_file(journal.fd_, data)) {
+    throw JournalError("cannot read journal '" + path +
+                       "': " + std::strerror(errno));
   }
 
   // Tolerant read: apply the longest valid prefix; stop at the first
@@ -420,7 +478,8 @@ SessionJournal SessionJournal::resume(const std::string& path,
       corrupt = true;  // torn final append: no record without its newline
       break;
     }
-    const std::string line = data.substr(pos, nl - pos);
+    const std::string_view line =
+        std::string_view(data).substr(pos, nl - pos);
     ++line_no;
     if (!line.empty()) {
       const std::optional<TraceEvent> event = decode_record(line, line_no);

@@ -25,6 +25,7 @@
 #include <mutex>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "harness/fault.hpp"
@@ -261,18 +262,31 @@ std::string journal_encode_record(const TraceEvent& event);
 /// Checksum-validating inverse of journal_encode_record(); nullopt on any
 /// corruption (bad suffix, checksum mismatch, unparseable body). `line_no`
 /// only labels diagnostics.
-std::optional<TraceEvent> journal_decode_record(const std::string& line,
+std::optional<TraceEvent> journal_decode_record(std::string_view line,
                                                 std::size_t line_no);
+
+/// The same validation without building an event: the checksum is hashed
+/// over the line in place, then `visit` sees each field of the body as
+/// scan_trace_jsonl_fields() reads it. Returns false on any corruption, in
+/// which case `visit` may already have seen some fields.
+bool journal_scan_record(std::string_view line, std::size_t line_no,
+                         const JsonFieldVisitor& visit);
+
+/// Reads `fd` from its offset to the end of the file into `data`: one
+/// buffer sized by fstat(2), grown only if the file grows meanwhile.
+/// Returns false, with errno set, when a read fails.
+bool journal_read_file(int fd, std::string& data);
 
 /// %.17g rendering used for every double in journal/store records — the
 /// shortest decimal form that round-trips each bit.
 std::string journal_render_double(double value);
 
 /// Space-separated %.17g stream (times_ms, metric rows, feature vectors)
-/// and its parser. The parser stops at the first unparseable token, so a
-/// damaged stream yields a shorter vector, never a crash.
+/// and its parser. The parser reads each token as strtod does and stops at
+/// the first unparseable one, so a damaged stream yields a shorter vector,
+/// never a crash.
 std::string journal_render_doubles(const std::vector<double>& values);
-std::vector<double> journal_parse_doubles(const std::string& text);
+std::vector<double> journal_parse_doubles(std::string_view text);
 
 /// Fingerprint of a flag space for JournalMeta::space_fingerprint.
 std::uint64_t space_fingerprint(const FlagRegistry& registry);

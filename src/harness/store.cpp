@@ -9,30 +9,23 @@
 #include <bit>
 #include <cerrno>
 #include <cmath>
-#include <cstdlib>
 #include <cstring>
 #include <limits>
+#include <optional>
+#include <string_view>
 #include <utility>
 
 #include "harness/journal.hpp"
 #include "support/log.hpp"
 #include "support/rng.hpp"
 #include "support/statistics.hpp"
+#include "support/trace.hpp"
 
 namespace jat {
 
 namespace {
 
 constexpr const char* kStoreFileName = "store.jsonl";
-
-std::uint64_t parse_hex(const std::string& text) {
-  return std::strtoull(text.c_str(), nullptr, 16);
-}
-
-double parse_value(const std::string& text) {
-  if (text.empty()) return std::numeric_limits<double>::quiet_NaN();
-  return std::strtod(text.c_str(), nullptr);
-}
 
 /// Whole-buffer write; short writes continue, EINTR retries.
 bool write_all(int fd, const char* data, std::size_t len) {
@@ -76,41 +69,6 @@ TraceEvent result_to_event(const StoreRecord& rec) {
       .with("command_line", rec.command_line);
 }
 
-/// Tolerant inverse of result_to_event: a record this reader cannot make
-/// sense of comes back without repetitions, which the loader skips.
-StoreRecord result_from_event(const TraceEvent& event) {
-  StoreRecord rec;
-  rec.key.space_fingerprint = parse_hex(event.get_string("space"));
-  rec.key.workload_fingerprint = parse_hex(event.get_string("wl"));
-  rec.key.config_fingerprint = parse_hex(event.get_string("cfg"));
-  rec.key.objective = event.get_string("objective", "run_time");
-  rec.workload = event.get_string("workload");
-  rec.objective_value = parse_value(event.get_string("value"));
-  rec.times_ms = journal_parse_doubles(event.get_string("times_ms"));
-  const std::string metrics_text = event.get_string("metrics");
-  if (!metrics_text.empty()) {
-    const auto cols = event.get_int("metric_cols", kMetricCount);
-    const std::vector<double> flat = journal_parse_doubles(metrics_text);
-    if (cols == kMetricCount &&
-        flat.size() == rec.times_ms.size() * kMetricCount) {
-      const auto cols_z = static_cast<std::size_t>(kMetricCount);
-      rec.rep_metrics.resize(rec.times_ms.size());
-      for (std::size_t r = 0; r < rec.rep_metrics.size(); ++r) {
-        for (std::size_t c = 0; c < cols_z; ++c) {
-          rec.rep_metrics[r].v[c] = flat[r * cols_z + c];
-        }
-      }
-    }
-    // An uninterpretable metric block drops the metrics, not the record:
-    // times_ms alone still answers run_time sessions bit-identically.
-  }
-  rec.stop = stop_reason_from_string(event.get_string("stop", "full"));
-  rec.failed_reps = static_cast<int>(event.get_int("failed_reps"));
-  rec.seed = std::strtoull(event.get_string("seed", "0").c_str(), nullptr, 10);
-  rec.command_line = event.get_string("command_line");
-  return rec;
-}
-
 TraceEvent workload_to_event(const StoreWorkloadInfo& info) {
   TraceEvent event("store_workload");
   event.fields.emplace_back("space", fingerprint_hex(info.space_fingerprint));
@@ -120,13 +78,127 @@ TraceEvent workload_to_event(const StoreWorkloadInfo& info) {
   return event;
 }
 
-StoreWorkloadInfo workload_from_event(const TraceEvent& event) {
-  StoreWorkloadInfo info;
-  info.space_fingerprint = parse_hex(event.get_string("space"));
-  info.workload_fingerprint = parse_hex(event.get_string("wl"));
-  info.name = event.get_string("name");
-  info.features = journal_parse_doubles(event.get_string("features"));
-  return info;
+/// TraceEvent::get_int's reading of a value: numbers truncate toward zero,
+/// booleans read 0 or 1, strings read `fallback`. A double outside the
+/// int64 range reads as INT64_MIN, what the conversion gives on x86-64,
+/// instead of being undefined.
+std::int64_t int_value(const JsonFieldValue& value, std::int64_t fallback) {
+  if (const auto* i = std::get_if<std::int64_t>(&value)) return *i;
+  if (const auto* d = std::get_if<double>(&value)) {
+    constexpr double kLimit = 9223372036854775808.0;  // 2^63
+    if (!(*d >= -kLimit && *d < kLimit)) {
+      return std::numeric_limits<std::int64_t>::min();
+    }
+    return static_cast<std::int64_t>(*d);
+  }
+  if (const auto* b = std::get_if<bool>(&value)) return *b ? 1 : 0;
+  return fallback;
+}
+
+enum class LineKind { kOther, kResult, kWorkload };
+
+/// Decodes one line of the store in place: the checksum is verified over
+/// the line and each field is converted as the scan reaches it, with no
+/// event in between. Fields read as the TraceEvent getters read them, so a
+/// line decodes to the same record as it always has: the first occurrence
+/// of a key counts, the last `type` does, and a value of the wrong type
+/// reads as the field's default. Either record kind fills what it has, and
+/// the line's `type` says which one it is; nullopt means corrupt.
+std::optional<LineKind> decode_line(std::string_view line,
+                                    std::size_t line_no, StoreRecord& rec,
+                                    StoreWorkloadInfo& info) {
+  enum Field : unsigned {
+    kSpace, kWl, kCfg, kObjective, kWorkload, kValue, kTimes, kMetricCols,
+    kMetrics, kStop, kFailedReps, kSeed, kCommandLine, kName, kFeatures,
+  };
+  unsigned seen = 0;
+  const auto first = [&seen](Field field) {
+    const unsigned bit = 1u << field;
+    if ((seen & bit) != 0) return false;
+    seen |= bit;
+    return true;
+  };
+  std::string type;
+  std::uint64_t space = 0;
+  std::uint64_t wl = 0;
+  std::int64_t metric_cols = kMetricCount;
+  std::vector<double> metrics;
+  bool has_metrics = false;
+  rec.key.objective = "run_time";
+  rec.objective_value = std::numeric_limits<double>::quiet_NaN();
+
+  const bool ok = journal_scan_record(
+      line, line_no, [&](std::string_view key, const JsonFieldValue& value) {
+        const auto* text = std::get_if<std::string_view>(&value);
+        const std::string_view str = text != nullptr ? *text : std::string_view();
+        if (key == "type") {
+          type = str;  // always a string: the scan rejects any other type
+        } else if (key == "space") {
+          if (first(kSpace)) space = decode_uint(str, 16);
+        } else if (key == "wl") {
+          if (first(kWl)) wl = decode_uint(str, 16);
+        } else if (key == "cfg") {
+          if (first(kCfg)) rec.key.config_fingerprint = decode_uint(str, 16);
+        } else if (key == "objective") {
+          if (first(kObjective) && text != nullptr) rec.key.objective = str;
+        } else if (key == "workload") {
+          if (first(kWorkload)) rec.workload = str;
+        } else if (key == "value") {
+          if (first(kValue) && !str.empty()) {
+            rec.objective_value = decode_double(str);
+          }
+        } else if (key == "times_ms") {
+          if (first(kTimes)) rec.times_ms = journal_parse_doubles(str);
+        } else if (key == "metric_cols") {
+          if (first(kMetricCols)) metric_cols = int_value(value, kMetricCount);
+        } else if (key == "metrics") {
+          if (first(kMetrics) && !str.empty()) {
+            metrics = journal_parse_doubles(str);
+            has_metrics = true;
+          }
+        } else if (key == "stop") {
+          if (first(kStop) && text != nullptr) {
+            rec.stop = stop_reason_from_string(str);
+          }
+        } else if (key == "failed_reps") {
+          if (first(kFailedReps)) {
+            rec.failed_reps = static_cast<int>(int_value(value, 0));
+          }
+        } else if (key == "seed") {
+          if (first(kSeed)) rec.seed = decode_uint(str, 10);
+        } else if (key == "command_line") {
+          if (first(kCommandLine)) rec.command_line = str;
+        } else if (key == "name") {
+          if (first(kName)) info.name = str;
+        } else if (key == "features") {
+          if (first(kFeatures)) info.features = journal_parse_doubles(str);
+        }
+      });
+  if (!ok) return std::nullopt;
+  if (type == "store_result") {
+    rec.key.space_fingerprint = space;
+    rec.key.workload_fingerprint = wl;
+    // An uninterpretable metric block drops the metrics, not the record:
+    // times_ms alone still answers run_time sessions bit-identically.
+    if (has_metrics && metric_cols == kMetricCount &&
+        metrics.size() == rec.times_ms.size() * kMetricCount) {
+      const auto cols = static_cast<std::size_t>(kMetricCount);
+      rec.rep_metrics.resize(rec.times_ms.size());
+      for (std::size_t r = 0; r < rec.rep_metrics.size(); ++r) {
+        std::copy_n(metrics.begin() + static_cast<std::ptrdiff_t>(r * cols),
+                    cols, rec.rep_metrics[r].v.begin());
+      }
+    }
+    return LineKind::kResult;
+  }
+  if (type == "store_workload") {
+    info.space_fingerprint = space;
+    info.workload_fingerprint = wl;
+    return LineKind::kWorkload;
+  }
+  // Unknown record types are skipped: their checksums validated, a newer
+  // writer simply knows kinds this reader does not.
+  return LineKind::kOther;
 }
 
 }  // namespace
@@ -196,60 +268,51 @@ ResultStore::~ResultStore() {
 
 void ResultStore::load(int fd) {
   std::string data;
-  char buf[1 << 16];
-  for (;;) {
-    const ssize_t n = ::read(fd, buf, sizeof buf);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      throw StoreError("cannot read store '" + path_ +
-                       "': " + std::strerror(errno));
-    }
-    if (n == 0) break;
-    data.append(buf, static_cast<std::size_t>(n));
+  if (!journal_read_file(fd, data)) {
+    throw StoreError("cannot read store '" + path_ +
+                     "': " + std::strerror(errno));
   }
 
   std::lock_guard lock(mutex_);
+  const std::string_view text(data);
   std::size_t pos = 0;
   std::size_t line_no = 0;
   std::size_t valid_end = 0;
-  while (pos < data.size()) {
-    const std::size_t nl = data.find('\n', pos);
-    if (nl == std::string::npos) {
+  while (pos < text.size()) {
+    const std::size_t nl = text.find('\n', pos);
+    if (nl == std::string_view::npos) {
       // Torn final append from a crashed writer: not a complete record.
       ++stats_.dropped;
       break;
     }
-    const std::string line = data.substr(pos, nl - pos);
+    const std::string_view line = text.substr(pos, nl - pos);
     ++line_no;
     pos = nl + 1;
     valid_end = pos;
     if (line.empty()) continue;
-    const std::optional<TraceEvent> event =
-        journal_decode_record(line, line_no);
-    if (!event.has_value()) {
+    StoreRecord rec;
+    StoreWorkloadInfo info;
+    const std::optional<LineKind> kind = decode_line(line, line_no, rec, info);
+    if (!kind.has_value()) {
       // Unlike the single-writer journal, corruption here is not a clean
       // prefix boundary — another session's appends follow it. Skip and
       // count; never truncate interior bytes.
       ++stats_.dropped;
       continue;
     }
-    if (event->type == "store_result") {
-      StoreRecord rec = result_from_event(*event);
+    if (*kind == LineKind::kResult) {
       if (rec.times_ms.empty()) {
         ++stats_.dropped;
         continue;
       }
       ++stats_.loaded;
       absorb(std::move(rec));
-    } else if (event->type == "store_workload") {
-      StoreWorkloadInfo info = workload_from_event(*event);
+    } else if (*kind == LineKind::kWorkload) {
       workloads_.emplace(info.workload_fingerprint, std::move(info));
       ++stats_.loaded;
     }
-    // Unknown record types are skipped: their checksums validated, a newer
-    // writer simply knows kinds this reader does not.
   }
-  if (!options_.read_only && valid_end < data.size()) {
+  if (!options_.read_only && valid_end < text.size()) {
     // Physically drop the unterminated tail so this session's appends
     // continue a clean log. Caller holds the exclusive lock.
     if (::ftruncate(fd, static_cast<off_t>(valid_end)) != 0) {
@@ -289,13 +352,12 @@ int ResultStore::writable_fd() {
   return fd_;
 }
 
-void ResultStore::append_line(const std::string& line) {
+void ResultStore::append_line(std::string line) {
   const int fd = writable_fd();
   if (fd < 0) return;
-  std::string buffer = line;
-  buffer += '\n';
+  line += '\n';
   ::flock(fd, LOCK_EX);
-  const bool ok = write_all(fd, buffer.data(), buffer.size());
+  const bool ok = write_all(fd, line.data(), line.size());
   ::flock(fd, LOCK_UN);
   if (!ok) {
     write_failed_ = true;
@@ -314,6 +376,13 @@ const StoreRecord* ResultStore::lookup(const StoreKey& key) {
   }
   ++stats_.hits;
   return &it->second;
+}
+
+const StoreWorkloadInfo* ResultStore::workload_info(
+    std::uint64_t workload_fingerprint) const {
+  std::lock_guard lock(mutex_);
+  const auto it = workloads_.find(workload_fingerprint);
+  return it == workloads_.end() ? nullptr : &it->second;
 }
 
 void ResultStore::put(StoreRecord record) {

@@ -142,6 +142,11 @@ class ResultStore {
   /// the store's lifetime (node-based index). Counts hits/misses.
   const StoreRecord* lookup(const StoreKey& key);
 
+  /// The descriptor stored for a workload fingerprint, or nullptr. Like
+  /// lookup(), the pointer stays valid for the store's lifetime.
+  const StoreWorkloadInfo* workload_info(
+      std::uint64_t workload_fingerprint) const;
+
   /// Inserts (or upgrades) a record and appends it to the file. A record
   /// no better than the stored one — fewer successful repetitions — is
   /// dropped without an append, so re-measuring sessions do not bloat the
@@ -179,7 +184,7 @@ class ResultStore {
   ResultStore() = default;
   void load(int fd);
   bool absorb(StoreRecord record);        ///< index insert/upgrade (mutex_ held)
-  void append_line(const std::string& line);  ///< flock + single write
+  void append_line(std::string line);     ///< flock + single write
   int writable_fd();                      ///< lazy open; reopens after fork
 
   std::string path_;

@@ -130,6 +130,8 @@ void reconstruct(SessionTrace& session) {
       session.best_ms = e.get_double("best_ms", session.best_ms);
       session.improvement = e.get_double("improvement");
       session.runs = e.get_int("runs");
+      // The session's own count: suite members emit no cache_hit events.
+      session.cache_hits = e.get_int("cache_hits", session.cache_hits);
       session.budget_spent = SimTime::seconds(e.get_double("budget_spent_s"));
       session.store_appends = e.get_int("store_appends");
       session.charged_evaluations = e.get_int("charged_evaluations");

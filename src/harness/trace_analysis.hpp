@@ -51,7 +51,9 @@ struct SessionTrace {
   // Search-side counters reconstructed from events.
   std::int64_t evaluations = 0;      ///< eval events
   std::int64_t incumbent_updates = 0;
-  std::int64_t cache_hits = 0;       ///< cache_hit events (incl. joins)
+  /// session_end's count; cache_hit events (incl. joins) in a trace cut
+  /// before it
+  std::int64_t cache_hits = 0;
   std::int64_t single_flight_joins = 0;
   std::int64_t retries = 0;          ///< retry events
   std::int64_t recovered = 0;        ///< evals that succeeded after retries

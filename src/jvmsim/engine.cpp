@@ -125,7 +125,7 @@ RunResult JvmSimulator::run(const JvmParams& params, const WorkloadSpec& workloa
   // Metadata-threshold collections while classes load.
   double trigger = static_cast<double>(p.heap.metaspace_trigger);
   while (trigger < metaspace_needed) {
-    const auto event = gc->full_collection(heap, rng);
+    const auto event = gc->full_collection(heap);
     st.now += event.pause;
     result.gc_pause_total += event.pause;
     ++result.full_gc_count;
@@ -213,7 +213,7 @@ RunResult JvmSimulator::run(const JvmParams& params, const WorkloadSpec& workloa
       st.now += dt;
       result.compile_cpu = jit.compile_cpu();
       if (gc->time_until_conc_event() <= SimTime::zero()) {
-        if (!charge_gc_event(gc->on_conc_event(heap, rng))) {
+        if (!charge_gc_event(gc->on_conc_event(heap))) {
           oom = true;
           break;
         }
@@ -273,14 +273,14 @@ RunResult JvmSimulator::run(const JvmParams& params, const WorkloadSpec& workloa
 
     // Fire due events.
     if (heap.eden_full()) {
-      if (!charge_gc_event(gc->on_eden_full(heap, rng))) {
+      if (!charge_gc_event(gc->on_eden_full(heap))) {
         oom = true;
         break;
       }
       charge_commit_growth();
     }
     if (gc->time_until_conc_event() <= SimTime::zero()) {
-      if (!charge_gc_event(gc->on_conc_event(heap, rng))) {
+      if (!charge_gc_event(gc->on_conc_event(heap))) {
         oom = true;
         break;
       }

@@ -33,7 +33,7 @@ class CmsModel : public GcModel {
                         : std::min(gc.cms_initiating_frac, kErgonomicTriggerCap);
   }
 
-  CollectionEvent on_eden_full(HeapSim& heap, Rng& rng) override {
+  CollectionEvent on_eden_full(HeapSim& heap) override {
     CollectionEvent event;
     event.young_gc = true;
     const auto scavenge = heap.scavenge();
@@ -51,7 +51,6 @@ class CmsModel : public GcModel {
       event.pause += full_pause(collect, /*threads=*/1, /*compacting=*/true);
       event.out_of_memory = note_full_gc(collect.reclaimed / before);
       if (heap.old_used() > heap.old_capacity()) event.out_of_memory = true;
-      (void)rng;
       return event;
     }
 
@@ -110,8 +109,7 @@ class CmsModel : public GcModel {
     }
   }
 
-  CollectionEvent on_conc_event(HeapSim& heap, Rng& rng) override {
-    (void)rng;
+  CollectionEvent on_conc_event(HeapSim& heap) override {
     CollectionEvent event;
     switch (phase_) {
       case Phase::kIdle:

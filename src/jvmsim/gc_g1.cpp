@@ -42,8 +42,7 @@ class G1Model : public GcModel {
     heap.set_young_size(std::clamp(0.20 * heap_bytes, min_young_, max_young_));
   }
 
-  CollectionEvent on_eden_full(HeapSim& heap, Rng& rng) override {
-    (void)rng;
+  CollectionEvent on_eden_full(HeapSim& heap) override {
     CollectionEvent event;
     event.young_gc = true;
     const auto scavenge = heap.scavenge();
@@ -117,8 +116,7 @@ class G1Model : public GcModel {
     mark_remaining_ = std::max(0.0, mark_remaining_ - mark_rate() * delta.as_seconds());
   }
 
-  CollectionEvent on_conc_event(HeapSim& heap, Rng& rng) override {
-    (void)rng;
+  CollectionEvent on_conc_event(HeapSim& heap) override {
     CollectionEvent event;
     if (!marking_) return event;
     marking_ = false;

@@ -106,7 +106,7 @@ bool GcModel::note_full_gc(double reclaimed_frac) {
   return params_.gc.overhead_limit && futile_full_gcs_ >= kFutileFullGcLimit;
 }
 
-GcModel::CollectionEvent GcModel::full_collection(HeapSim& heap, Rng& rng) {
+GcModel::CollectionEvent GcModel::full_collection(HeapSim& heap) {
   CollectionEvent event;
   event.full_gc = true;
   if (params_.gc.scavenge_before_full) {
@@ -118,11 +118,10 @@ GcModel::CollectionEvent GcModel::full_collection(HeapSim& heap, Rng& rng) {
   event.pause += full_pause(collect, full_gc_threads(), /*compacting=*/true);
   const double frac = before > 0 ? collect.reclaimed / before : 1.0;
   event.out_of_memory = note_full_gc(frac);
-  (void)rng;
   return event;
 }
 
-GcModel::CollectionEvent GcModel::on_conc_event(HeapSim&, Rng&) { return {}; }
+GcModel::CollectionEvent GcModel::on_conc_event(HeapSim&) { return {}; }
 
 void GcModel::advance_time(SimTime) {}
 

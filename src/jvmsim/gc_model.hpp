@@ -12,7 +12,6 @@
 #include "jvmsim/heap_sim.hpp"
 #include "jvmsim/machine.hpp"
 #include "jvmsim/params.hpp"
-#include "support/rng.hpp"
 #include "support/sim_time.hpp"
 
 namespace jat {
@@ -48,10 +47,10 @@ class GcModel {
                                          HeapSim& heap);
 
   /// Eden filled up: collect. Never returns without making room in eden.
-  virtual CollectionEvent on_eden_full(HeapSim& heap, Rng& rng) = 0;
+  virtual CollectionEvent on_eden_full(HeapSim& heap) = 0;
 
   /// Collects the whole heap right now (metaspace threshold, explicit GC).
-  virtual CollectionEvent full_collection(HeapSim& heap, Rng& rng);
+  virtual CollectionEvent full_collection(HeapSim& heap);
 
   // ---- concurrent machinery (CMS / G1 marking) -------------------------------
   /// Concurrent GC threads currently running (they occupy machine cores).
@@ -60,7 +59,7 @@ class GcModel {
   /// attention (infinite when none is in progress).
   virtual SimTime time_until_conc_event() const { return SimTime::infinite(); }
   /// The concurrent event is due: finish the cycle.
-  virtual CollectionEvent on_conc_event(HeapSim& heap, Rng& rng);
+  virtual CollectionEvent on_conc_event(HeapSim& heap);
   /// Wall time passed; progress concurrent work.
   virtual void advance_time(SimTime delta);
 

@@ -17,9 +17,7 @@ StwGenerationalModel::StwGenerationalModel(const JvmParams& params,
       young_threads_(young_threads),
       full_threads_(full_threads) {}
 
-GcModel::CollectionEvent StwGenerationalModel::on_eden_full(HeapSim& heap,
-                                                            Rng& rng) {
-  (void)rng;
+GcModel::CollectionEvent StwGenerationalModel::on_eden_full(HeapSim& heap) {
   CollectionEvent event;
   event.young_gc = true;
   const auto scavenge = heap.scavenge();

@@ -13,7 +13,7 @@ class StwGenerationalModel : public GcModel {
   StwGenerationalModel(const JvmParams& params, const MachineSpec& machine,
                        int young_threads, int full_threads);
 
-  CollectionEvent on_eden_full(HeapSim& heap, Rng& rng) override;
+  CollectionEvent on_eden_full(HeapSim& heap) override;
 
  protected:
   int full_gc_threads() const override { return full_threads_; }

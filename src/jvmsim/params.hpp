@@ -115,7 +115,6 @@ struct RuntimeParams {
   bool verify_remote = true;
   bool verify_local = false;
   bool cds = true;
-  int app_parallel_bonus = 0;  ///< reserved
 };
 
 struct JvmParams {

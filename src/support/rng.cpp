@@ -114,13 +114,12 @@ Rng Rng::split(std::string_view key) {
   return split(fnv1a64(key));
 }
 
-std::uint64_t fnv1a64(std::string_view bytes) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
+std::uint64_t fnv1a64(std::string_view bytes, std::uint64_t hash) {
   for (unsigned char c : bytes) {
-    h ^= c;
-    h *= 0x100000001b3ULL;
+    hash ^= c;
+    hash *= 0x100000001b3ULL;
   }
-  return h;
+  return hash;
 }
 
 std::uint64_t mix64(std::uint64_t a, std::uint64_t b) {

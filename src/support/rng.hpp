@@ -71,8 +71,10 @@ class Rng {
 };
 
 /// FNV-1a 64-bit hash; used to key per-entity RNG streams and to fingerprint
-/// configurations.
-std::uint64_t fnv1a64(std::string_view bytes);
+/// configurations. Streams: fnv1a64(b, fnv1a64(a)) hashes the concatenation
+/// a + b.
+std::uint64_t fnv1a64(std::string_view bytes,
+                      std::uint64_t hash = 0xcbf29ce484222325ULL);
 
 /// Mixes two 64-bit values into one (SplitMix64 finalizer over the sum).
 std::uint64_t mix64(std::uint64_t a, std::uint64_t b);

@@ -1,8 +1,10 @@
 #include "support/trace.hpp"
 
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <fstream>
 #include <limits>
 #include <ostream>
@@ -157,9 +159,7 @@ void append_json_value(std::string& out, const TraceValue& value) {
     } else if (std::isinf(*d)) {
       out += *d > 0 ? "\"inf\"" : "\"-inf\"";
     } else {
-      char buf[48];
-      std::snprintf(buf, sizeof buf, "%.17g", *d);
-      out += buf;
+      append_double(out, *d);
     }
   } else if (const auto* s = std::get_if<std::string>(&value)) {
     append_json_string(out, *s);
@@ -173,10 +173,8 @@ void append_json_value(std::string& out, const TraceValue& value) {
 std::string to_json(const TraceEvent& event) {
   std::string out = "{\"type\":";
   append_json_string(out, event.type);
-  char buf[48];
-  std::snprintf(buf, sizeof buf, "%.17g", event.at.as_seconds());
   out += ",\"t_s\":";
-  out += buf;
+  append_double(out, event.at.as_seconds());
   for (const auto& [key, value] : event.fields) {
     out += ',';
     append_json_string(out, key);
@@ -231,35 +229,106 @@ bool TraceSink::save_jsonl(const std::string& path) const {
   return static_cast<bool>(out);
 }
 
+// ---- number codec -----------------------------------------------------------
+
+void append_double(std::string& out, double value) {
+  char buf[32];  // %.17g needs at most 24: "-1.2345678901234567e-308"
+  const auto result = std::to_chars(buf, buf + sizeof buf, value,
+                                    std::chars_format::general, 17);
+  out.append(buf, result.ptr);
+}
+
+// Each decoder takes std::from_chars's answer only when it read the whole
+// text and agrees with the C library by construction. Otherwise (a leading
+// blank or '+', a hex float, an out-of-range value, a NaN payload, text
+// after the number) the C function reads a NUL-terminated copy.
+
+double decode_double(std::string_view text) {
+  const char* end = text.data() + text.size();
+  double value = 0.0;
+  const auto [stop, ec] = std::from_chars(text.data(), end, value);
+  if (ec == std::errc() && stop == end && !std::isnan(value)) return value;
+  return std::strtod(std::string(text).c_str(), nullptr);
+}
+
+std::int64_t decode_int(std::string_view text) {
+  const char* end = text.data() + text.size();
+  std::int64_t value = 0;
+  const auto [stop, ec] = std::from_chars(text.data(), end, value);
+  if (ec == std::errc() && stop == end) return value;
+  return std::strtoll(std::string(text).c_str(), nullptr, 10);
+}
+
+std::uint64_t decode_uint(std::string_view text, int base,
+                          std::size_t* consumed) {
+  // strtoull reads an optional 0x prefix in base 16; from_chars does not.
+  std::string_view digits = text;
+  if (base == 16 && digits.size() > 2 && digits[0] == '0' &&
+      (digits[1] == 'x' || digits[1] == 'X')) {
+    digits.remove_prefix(2);
+  }
+  const char* end = digits.data() + digits.size();
+  std::uint64_t value = 0;
+  const auto [stop, ec] = std::from_chars(digits.data(), end, value, base);
+  if (ec == std::errc() && stop == end) {
+    if (consumed != nullptr) *consumed = text.size();
+    return value;
+  }
+  const std::string copy(text);
+  char* c_stop = nullptr;
+  value = std::strtoull(copy.c_str(), &c_stop, base);
+  if (consumed != nullptr) {
+    *consumed = static_cast<std::size_t>(c_stop - copy.c_str());
+  }
+  return value;
+}
+
 // ---- JSONL parsing ----------------------------------------------------------
 
 namespace {
 
-/// Minimal parser for the flat JSON objects write_jsonl emits. `pos` tracks
-/// the cursor; errors carry the line for context.
+/// Minimal reader for the flat JSON objects write_jsonl emits, over a view
+/// of the line: keys and strings come back as views (copied only when they
+/// carry escapes), numbers as int64 or double. `pos_` tracks the cursor;
+/// errors carry the line for context.
 class LineParser {
  public:
-  LineParser(const std::string& line, std::size_t line_no)
-      : line_(line), line_no_(line_no) {}
+  LineParser(std::string_view line, std::size_t line_no, bool brace_implied)
+      : line_(line), line_no_(line_no), brace_implied_(brace_implied) {}
 
-  TraceEvent parse() {
-    TraceEvent event;
+  /// Calls visit(key, value) per field until the object closes.
+  template <class Visit>
+  void scan(Visit&& visit) {
     skip_ws();
     expect('{');
     skip_ws();
-    if (peek() == '}') {
-      ++pos_;
-      return event;
-    }
+    if (closes()) return;
     for (;;) {
       skip_ws();
-      std::string key = parse_string();
+      const std::string_view key = parse_string(key_buf_);
       skip_ws();
       expect(':');
       skip_ws();
-      TraceValue value = parse_value();
+      const JsonFieldValue value = parse_value();
+      if (key == "type" && !std::holds_alternative<std::string_view>(value)) {
+        fail("type is not a string");
+      }
+      visit(key, value);
+      skip_ws();
+      if (peek() == ',') {
+        ++pos_;
+        continue;
+      }
+      if (!closes()) fail("expected '}'");
+      return;
+    }
+  }
+
+  TraceEvent parse() {
+    TraceEvent event;
+    scan([&event](std::string_view key, const JsonFieldValue& value) {
       if (key == "type") {
-        event.type = std::get<std::string>(value);
+        event.type = std::get<std::string_view>(value);
       } else if (key == "t_s") {
         double seconds = 0.0;
         if (const auto* d = std::get_if<double>(&value)) {
@@ -269,20 +338,23 @@ class LineParser {
         }
         event.at = SimTime::seconds(seconds);
       } else {
-        event.fields.emplace_back(std::move(key), std::move(value));
+        event.fields.emplace_back(std::string(key), owned(value));
       }
-      skip_ws();
-      if (peek() == ',') {
-        ++pos_;
-        continue;
-      }
-      expect('}');
-      return event;
-    }
+    });
+    return event;
   }
 
  private:
-  [[noreturn]] void fail(const std::string& what) {
+  static TraceValue owned(const JsonFieldValue& value) {
+    if (const auto* text = std::get_if<std::string_view>(&value)) {
+      return std::string(*text);
+    }
+    if (const auto* i = std::get_if<std::int64_t>(&value)) return *i;
+    if (const auto* d = std::get_if<double>(&value)) return *d;
+    return std::get<bool>(value);
+  }
+
+  [[noreturn]] void fail(const std::string& what) const {
     throw Error("trace JSONL line " + std::to_string(line_no_) + ": " + what);
   }
 
@@ -293,6 +365,15 @@ class LineParser {
     ++pos_;
   }
 
+  /// Consumes the object's closing brace, or accepts the end of the line
+  /// in its place when the brace is implied.
+  bool closes() {
+    if (brace_implied_ && pos_ == line_.size()) return true;
+    if (peek() != '}') return false;
+    ++pos_;
+    return true;
+  }
+
   void skip_ws() {
     while (pos_ < line_.size() &&
            (line_[pos_] == ' ' || line_[pos_] == '\t')) {
@@ -300,48 +381,71 @@ class LineParser {
     }
   }
 
-  std::string parse_string() {
-    expect('"');
-    std::string out;
-    while (pos_ < line_.size() && line_[pos_] != '"') {
-      char c = line_[pos_++];
-      if (c == '\\') {
-        if (pos_ >= line_.size()) fail("truncated escape");
-        const char e = line_[pos_++];
-        switch (e) {
-          case '"': out += '"'; break;
-          case '\\': out += '\\'; break;
-          case '/': out += '/'; break;
-          case 'n': out += '\n'; break;
-          case 'r': out += '\r'; break;
-          case 't': out += '\t'; break;
-          case 'u': {
-            if (pos_ + 4 > line_.size()) fail("truncated \\u escape");
-            const unsigned code = static_cast<unsigned>(
-                std::strtoul(line_.substr(pos_, 4).c_str(), nullptr, 16));
-            pos_ += 4;
-            // The writer only emits \u for control characters (< 0x20).
-            out += static_cast<char>(code & 0x7f);
-            break;
-          }
-          default: fail("unknown escape");
-        }
-      } else {
-        out += c;
-      }
-    }
-    expect('"');
-    return out;
+  /// End of the plain run at `from`: the next quote or backslash.
+  std::size_t run_end(std::size_t from) const {
+    const char* begin = line_.data() + from;
+    const std::size_t left = line_.size() - from;
+    const void* quote = std::memchr(begin, '"', left);
+    const std::size_t scan =
+        quote != nullptr ? static_cast<const char*>(quote) - begin : left;
+    const void* slash = std::memchr(begin, '\\', scan);
+    if (slash != nullptr) return from + (static_cast<const char*>(slash) - begin);
+    if (quote == nullptr) fail("expected '\"'");
+    return from + scan;
   }
 
-  TraceValue parse_value() {
+  /// A string without escapes is returned as a view of the line; one with
+  /// escapes is unescaped into `buf`, its plain runs appended whole.
+  std::string_view parse_string(std::string& buf) {
+    expect('"');
+    const std::size_t start = pos_;
+    std::size_t run = run_end(pos_);
+    if (line_[run] == '"') {
+      pos_ = run + 1;
+      return line_.substr(start, run - start);
+    }
+    buf.clear();
+    for (;;) {
+      buf.append(line_.substr(pos_, run - pos_));
+      pos_ = run;
+      if (line_[pos_] == '"') break;
+      ++pos_;  // the backslash
+      if (pos_ >= line_.size()) fail("truncated escape");
+      const char e = line_[pos_++];
+      switch (e) {
+        case '"': buf += '"'; break;
+        case '\\': buf += '\\'; break;
+        case '/': buf += '/'; break;
+        case 'n': buf += '\n'; break;
+        case 'r': buf += '\r'; break;
+        case 't': buf += '\t'; break;
+        case 'u': {
+          if (pos_ + 4 > line_.size()) fail("truncated \\u escape");
+          char hex[5] = {};
+          line_.copy(hex, 4, pos_);
+          const unsigned code =
+              static_cast<unsigned>(std::strtoul(hex, nullptr, 16));
+          pos_ += 4;
+          // The writer only emits \u for control characters (< 0x20).
+          buf += static_cast<char>(code & 0x7f);
+          break;
+        }
+        default: fail("unknown escape");
+      }
+      run = run_end(pos_);
+    }
+    ++pos_;  // the closing quote
+    return buf;
+  }
+
+  JsonFieldValue parse_value() {
     const char c = peek();
-    if (c == '"') return parse_string();
-    if (line_.compare(pos_, 4, "true") == 0) {
+    if (c == '"') return parse_string(value_buf_);
+    if (line_.substr(pos_, 4) == "true") {
       pos_ += 4;
       return true;
     }
-    if (line_.compare(pos_, 5, "false") == 0) {
+    if (line_.substr(pos_, 5) == "false") {
       pos_ += 5;
       return false;
     }
@@ -360,21 +464,30 @@ class LineParser {
       }
     }
     if (pos_ == start) fail("expected a value");
-    const std::string token = line_.substr(start, pos_ - start);
-    if (floating) return std::strtod(token.c_str(), nullptr);
-    return static_cast<std::int64_t>(std::strtoll(token.c_str(), nullptr, 10));
+    const std::string_view token = line_.substr(start, pos_ - start);
+    if (floating) return decode_double(token);
+    return decode_int(token);
   }
 
-  const std::string& line_;
+  std::string_view line_;
   std::size_t line_no_;
+  bool brace_implied_;
   std::size_t pos_ = 0;
+  std::string key_buf_;
+  std::string value_buf_;
 };
 
 }  // namespace
 
-TraceEvent parse_trace_jsonl_line(const std::string& line,
-                                  std::size_t line_no) {
-  return LineParser(line, line_no).parse();
+TraceEvent parse_trace_jsonl_line(std::string_view line, std::size_t line_no,
+                                  bool brace_implied) {
+  return LineParser(line, line_no, brace_implied).parse();
+}
+
+void scan_trace_jsonl_fields(std::string_view line, std::size_t line_no,
+                             bool brace_implied,
+                             const JsonFieldVisitor& visit) {
+  LineParser(line, line_no, brace_implied).scan(visit);
 }
 
 std::vector<TraceEvent> TraceSink::load_jsonl(std::istream& in) {

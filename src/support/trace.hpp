@@ -17,6 +17,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <iosfwd>
 #include <map>
 #include <mutex>
@@ -137,9 +138,50 @@ std::string to_json(const TraceEvent& event);
 /// Parses one write_jsonl line back into an event (the exact inverse of
 /// to_json for the flat dialect). Throws jat::Error on malformed input;
 /// `line_no` only labels the diagnostic. The session journal reuses this
-/// for its own records.
-TraceEvent parse_trace_jsonl_line(const std::string& line,
-                                  std::size_t line_no = 0);
+/// for its own records; with `brace_implied` the end of `line` closes the
+/// object, as in a journal record's body, whose closing brace follows the
+/// checksum.
+TraceEvent parse_trace_jsonl_line(std::string_view line,
+                                  std::size_t line_no = 0,
+                                  bool brace_implied = false);
+
+/// One field value as the flat-JSON reader sees it, before any copy. A
+/// string is a view into the line, or into the reader's own buffer when it
+/// carried escapes; either way it is valid only during the visit.
+using JsonFieldValue = std::variant<std::int64_t, double, std::string_view, bool>;
+using JsonFieldVisitor =
+    std::function<void(std::string_view key, const JsonFieldValue& value)>;
+
+/// The reader under parse_trace_jsonl_line: calls `visit` once per field,
+/// in line order, `type` and `t_s` included, and builds no event. A `type`
+/// that is not a string is malformed. Throws jat::Error like the parser.
+void scan_trace_jsonl_fields(std::string_view line, std::size_t line_no,
+                             bool brace_implied, const JsonFieldVisitor& visit);
+
+// ---- number codec -----------------------------------------------------------
+//
+// Every double the JSONL writers emit is rendered as printf's %.17g, the
+// shortest decimal form that round-trips each bit, and read back with
+// strtod's semantics. Both go through <charconv> (no locale, no format
+// string, no NUL-terminated copy); the readers fall back to the C library
+// wherever std::from_chars would read the text differently, so the decoded
+// value is strtod's (or strtoll's, strtoull's) on every input.
+
+/// Appends the %.17g rendering of `value`: the same bytes, inf and nan
+/// included.
+void append_double(std::string& out, double value);
+
+/// std::strtod(text) as if `text` were NUL-terminated: the value of its
+/// longest numeric prefix, 0 when there is none.
+double decode_double(std::string_view text);
+
+/// std::strtoll(text, nullptr, 10), likewise.
+std::int64_t decode_int(std::string_view text);
+
+/// std::strtoull(text, &end, base), likewise; `consumed`, when given,
+/// receives end - text.
+std::uint64_t decode_uint(std::string_view text, int base,
+                          std::size_t* consumed = nullptr);
 
 /// Canonical "0x%016x" rendering of configuration fingerprints in traces
 /// (64-bit values do not survive a JSON number round-trip intact).

@@ -5,6 +5,7 @@
 #include <bit>
 #include <cstdint>
 #include <set>
+#include <utility>
 #include <vector>
 
 #include "flags/hierarchy.hpp"
@@ -283,18 +284,36 @@ class ResultHash {
   std::uint64_t value_ = 0;
 };
 
-TEST(SimulatorOutputPin, EveryRunResultFieldIsBitIdentical) {
-  constexpr int kConfigsPerProgram = 20;
-  constexpr double kDensities[] = {0.05, 0.15, 0.3};
-  constexpr std::uint64_t kSeeds[] = {1, 2, 3};
+constexpr int kConfigsPerProgram = 20;
+constexpr std::uint64_t kPinSeeds[] = {1, 2, 3};
 
+/// The pin corpus: every suite program with the default configuration and
+/// kConfigsPerProgram seeded random ones.
+std::vector<std::pair<const WorkloadSpec*, std::vector<Configuration>>>
+pin_corpus() {
+  constexpr double kDensities[] = {0.05, 0.15, 0.3};
   std::vector<const WorkloadSpec*> programs;
   for (const WorkloadSpec& w : specjvm2008_startup()) programs.push_back(&w);
   for (const WorkloadSpec& w : dacapo()) programs.push_back(&w);
-  ASSERT_EQ(programs.size(), 29u);
 
   const SearchSpace space(FlagHierarchy::hotspot());
   Rng rng(0x70696e5f32303135ULL);  // "pin_2015"
+  std::vector<std::pair<const WorkloadSpec*, std::vector<Configuration>>>
+      corpus;
+  for (const WorkloadSpec* program : programs) {
+    std::vector<Configuration> configs{Configuration(FlagRegistry::hotspot())};
+    for (int i = 0; i < kConfigsPerProgram; ++i) {
+      configs.push_back(space.random_config(rng, kDensities[i % 3]));
+    }
+    corpus.emplace_back(program, std::move(configs));
+  }
+  return corpus;
+}
+
+TEST(SimulatorOutputPin, EveryRunResultFieldIsBitIdentical) {
+  const auto corpus = pin_corpus();
+  ASSERT_EQ(corpus.size(), 29u);
+
   const JvmSimulator sim;
   ResultHash hash;
   std::set<GcAlgorithm> collectors;
@@ -302,11 +321,7 @@ TEST(SimulatorOutputPin, EveryRunResultFieldIsBitIdentical) {
   int compile_all = 0, client = 0, interpret_only = 0, non_tiered = 0;
   int stop_below_4 = 0, foreground = 0, flushed = 0, disabled = 0;
 
-  for (const WorkloadSpec* program : programs) {
-    std::vector<Configuration> configs{Configuration(FlagRegistry::hotspot())};
-    for (int i = 0; i < kConfigsPerProgram; ++i) {
-      configs.push_back(space.random_config(rng, kDensities[i % 3]));
-    }
+  for (const auto& [program, configs] : corpus) {
     for (const Configuration& config : configs) {
       if (first_fatal(config).empty()) {
         const JvmParams params = decode_params(config);
@@ -319,7 +334,7 @@ TEST(SimulatorOutputPin, EveryRunResultFieldIsBitIdentical) {
         stop_below_4 += jit.tiered && jit.stop_at_level < 4 && !jit.interpret_only;
         foreground += !jit.background && !jit.compile_all && !jit.interpret_only;
       }
-      for (const std::uint64_t seed : kSeeds) {
+      for (const std::uint64_t seed : kPinSeeds) {
         const RunResult r = sim.run(config, *program, seed);
         flushed += r.code_cache_flushes > 0;
         disabled += r.code_cache_disabled;
@@ -341,6 +356,33 @@ TEST(SimulatorOutputPin, EveryRunResultFieldIsBitIdentical) {
   EXPECT_GT(flushed, 0);
   EXPECT_GT(disabled, 0);
   EXPECT_EQ(hash.value(), 0x552131e752cbdd70ULL) << std::hex << hash.value();
+}
+
+// The event loop draws no randomness: the seed reaches a run only through
+// the final noise on total_time and startup_time. So every other field is
+// the same for every seed, one trajectory per program and configuration,
+// which is what lets a run be simulated once and noised per repetition.
+// Randomness added inside the loop fails here by name.
+TEST(SimulatorOutputPin, OnlyTheNoisedTimesDependOnTheSeed) {
+  const JvmSimulator sim;
+  for (const auto& [program, configs] : pin_corpus()) {
+    for (std::size_t c = 0; c < configs.size(); ++c) {
+      std::uint64_t first = 0;
+      for (const std::uint64_t seed : kPinSeeds) {
+        RunResult r = sim.run(configs[c], *program, seed);
+        r.total_time = SimTime::zero();
+        r.startup_time = SimTime::zero();
+        ResultHash fields;
+        fields.add(r);
+        if (seed == kPinSeeds[0]) {
+          first = fields.value();
+        } else {
+          EXPECT_EQ(fields.value(), first)
+              << program->name << " configuration " << c << " seed " << seed;
+        }
+      }
+    }
+  }
 }
 
 // Property sweep: every suite workload completes under every collector

@@ -17,7 +17,6 @@ struct Rig {
   MachineSpec machine;
   HeapSim heap;
   std::unique_ptr<GcModel> model;
-  Rng rng{7};
 
   Rig(GcAlgorithm algorithm, WorkloadSpec w)
       : params(make_params(algorithm)), workload(std::move(w)),
@@ -47,10 +46,10 @@ struct Rig {
   GcModel::CollectionEvent cycle(double gap_ms = 50.0) {
     model->advance_time(SimTime::millis(static_cast<std::int64_t>(gap_ms)));
     if (model->time_until_conc_event() <= SimTime::zero()) {
-      model->on_conc_event(heap, rng);
+      model->on_conc_event(heap);
     }
     heap.allocate(heap.eden_free() + 1.0);
-    return model->on_eden_full(heap, rng);
+    return model->on_eden_full(heap);
   }
 };
 
@@ -116,10 +115,10 @@ TEST(GcModels, CmsCycleEventuallyFinishesAndReclaims) {
     // Generous gaps so concurrent marking can complete between scavenges.
     rig.model->advance_time(SimTime::millis(300));
     if (rig.model->time_until_conc_event() <= SimTime::zero()) {
-      finished |= rig.model->on_conc_event(rig.heap, rig.rng).finished_concurrent;
+      finished |= rig.model->on_conc_event(rig.heap).finished_concurrent;
     }
     rig.heap.allocate(rig.heap.eden_free() + 1.0);
-    rig.model->on_eden_full(rig.heap, rig.rng);
+    rig.model->on_eden_full(rig.heap);
   }
   EXPECT_TRUE(finished);
   EXPECT_GT(rig.model->concurrent_cpu(), SimTime::zero());
@@ -145,10 +144,10 @@ TEST(GcModels, G1MarkingAndMixedCycles) {
   for (int i = 0; i < 600; ++i) {
     rig.model->advance_time(SimTime::millis(200));
     if (rig.model->time_until_conc_event() <= SimTime::zero()) {
-      finished |= rig.model->on_conc_event(rig.heap, rig.rng).finished_concurrent;
+      finished |= rig.model->on_conc_event(rig.heap).finished_concurrent;
     }
     rig.heap.allocate(rig.heap.eden_free() + 1.0);
-    started |= rig.model->on_eden_full(rig.heap, rig.rng).started_concurrent;
+    started |= rig.model->on_eden_full(rig.heap).started_concurrent;
     if (started && finished) break;
   }
   EXPECT_TRUE(started);
@@ -170,12 +169,11 @@ TEST(GcModels, G1RespectsPauseGoalByShrinkingYoung) {
   HeapSim heap_loose(loose.heap, w, 1.0, 1e12);
   auto model_tight = GcModel::create(tight, w, MachineSpec{}, heap_tight);
   auto model_loose = GcModel::create(loose, w, MachineSpec{}, heap_loose);
-  Rng rng(3);
   for (int i = 0; i < 30; ++i) {
     heap_tight.allocate(heap_tight.eden_free() + 1);
-    model_tight->on_eden_full(heap_tight, rng);
+    model_tight->on_eden_full(heap_tight);
     heap_loose.allocate(heap_loose.eden_free() + 1);
-    model_loose->on_eden_full(heap_loose, rng);
+    model_loose->on_eden_full(heap_loose);
   }
   EXPECT_LT(heap_tight.young_size(), heap_loose.young_size());
 }
@@ -194,7 +192,7 @@ TEST(GcModels, PermanentLiveSetBeyondHeapIsOom) {
 TEST(GcModels, FullCollectionHelperCompactsAndCounts) {
   Rig rig(GcAlgorithm::kParallel, churn_workload());
   for (int i = 0; i < 20; ++i) rig.cycle();
-  const auto event = rig.model->full_collection(rig.heap, rig.rng);
+  const auto event = rig.model->full_collection(rig.heap);
   EXPECT_TRUE(event.full_gc);
   EXPECT_GT(event.pause, SimTime::zero());
   EXPECT_EQ(rig.heap.fragmentation(), 0.0);
@@ -213,14 +211,13 @@ TEST(GcModels, MoreGcThreadsShortenPauses) {
   HeapSim h8(eight.heap, w, 1.0, 1e12);
   auto m1 = GcModel::create(one, w, MachineSpec{}, h1);
   auto m8 = GcModel::create(eight, w, MachineSpec{}, h8);
-  Rng rng(5);
   SimTime total1;
   SimTime total8;
   for (int i = 0; i < 10; ++i) {
     h1.allocate(h1.eden_free() + 1);
-    total1 += m1->on_eden_full(h1, rng).pause;
+    total1 += m1->on_eden_full(h1).pause;
     h8.allocate(h8.eden_free() + 1);
-    total8 += m8->on_eden_full(h8, rng).pause;
+    total8 += m8->on_eden_full(h8).pause;
   }
   EXPECT_GT(total1, total8);
 }

@@ -11,11 +11,13 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <fstream>
 #include <memory>
 #include <optional>
+#include <set>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -30,6 +32,8 @@
 #include "harness/journal.hpp"
 #include "harness/runner.hpp"
 #include "support/log.hpp"
+#include "support/rng.hpp"
+#include "support/trace.hpp"
 #include "tuner/algorithms.hpp"
 #include "tuner/search_space.hpp"
 #include "tuner/session.hpp"
@@ -528,6 +532,90 @@ TEST_F(StoreTest, StoreDisabledSessionMatchesGoldenByteForByte) {
   EXPECT_EQ(slurp(flags_path),
             slurp(std::string(JAT_GOLDEN_DIR) + "/run_time_session.flags"));
   set_log_level(LogLevel::kOff);
+}
+
+// ---------------------------------------------------------------------------
+// Compatibility with stores already on disk
+
+// tests/golden/store.jsonl was written by jat_tune before the store's
+// one-pass decoder (DESIGN.md, "Cross-session result store"): an h2 session
+// with adaptive repetitions and a startup.compiler.compiler session with
+// fixed ones. It must decode to the same index, field for field and bit for
+// bit, as the reader that wrote it; the hash below was computed by that
+// reader. The keys are collected through the record dialect's TraceEvent
+// reader, so a record the store loses fails the lookup.
+TEST_F(StoreTest, GoldenStoreDecodesToThePinnedIndex) {
+  const std::string dir = temp_dir("golden");
+  ASSERT_EQ(::mkdir(dir.c_str(), 0755), 0);
+  const std::string golden = slurp(std::string(JAT_GOLDEN_DIR) + "/store.jsonl");
+  ASSERT_FALSE(golden.empty());
+  spit(dir + "/store.jsonl", golden);
+  auto store = ResultStore::open(dir, {.read_only = true});
+
+  std::set<StoreKey> keys;
+  std::set<std::uint64_t> workloads;
+  std::istringstream lines(golden);
+  std::size_t line_no = 0;
+  for (std::string line; std::getline(lines, line);) {
+    const std::optional<TraceEvent> event = journal_decode_record(line, ++line_no);
+    ASSERT_TRUE(event.has_value()) << "line " << line_no;
+    const auto hex = [&](const char* key) {
+      return std::strtoull(event->get_string(key).c_str(), nullptr, 16);
+    };
+    if (event->type == "store_result") {
+      keys.insert({hex("space"), hex("wl"), hex("cfg"),
+                   event->get_string("objective")});
+    } else {
+      ASSERT_EQ(event->type, "store_workload");
+      workloads.insert(hex("wl"));
+    }
+  }
+
+  const StoreStats stats = store->stats();
+  EXPECT_EQ(stats.dropped, 0);
+  EXPECT_EQ(stats.loaded, static_cast<std::int64_t>(line_no));
+  EXPECT_EQ(stats.records, static_cast<std::int64_t>(keys.size()));
+  EXPECT_EQ(stats.workloads, static_cast<std::int64_t>(workloads.size()));
+
+  std::uint64_t h = fnv1a64("golden-store");
+  const auto mix = [&h](std::uint64_t v) { h = mix64(h, v); };
+  const auto mix_double = [&](double v) { mix(std::bit_cast<std::uint64_t>(v)); };
+  const auto mix_text = [&](const std::string& s) {
+    mix(fnv1a64(s));
+    mix(s.size());
+  };
+  mix(static_cast<std::uint64_t>(stats.records));
+  mix(static_cast<std::uint64_t>(stats.workloads));
+  for (const StoreKey& key : keys) {
+    const StoreRecord* rec = store->lookup(key);
+    ASSERT_NE(rec, nullptr);
+    mix(rec->key.space_fingerprint);
+    mix(rec->key.workload_fingerprint);
+    mix(rec->key.config_fingerprint);
+    mix_text(rec->key.objective);
+    mix_text(rec->workload);
+    mix_text(rec->command_line);
+    mix_double(rec->objective_value);
+    mix(rec->times_ms.size());
+    for (const double t : rec->times_ms) mix_double(t);
+    mix(rec->rep_metrics.size());
+    for (const MetricVector& row : rec->rep_metrics) {
+      for (const double v : row.v) mix_double(v);
+    }
+    mix(static_cast<std::uint64_t>(rec->stop));
+    mix(static_cast<std::uint64_t>(rec->failed_reps));
+    mix(rec->seed);
+  }
+  for (const std::uint64_t fp : workloads) {
+    const StoreWorkloadInfo* info = store->workload_info(fp);
+    ASSERT_NE(info, nullptr);
+    mix(info->space_fingerprint);
+    mix(info->workload_fingerprint);
+    mix_text(info->name);
+    mix(info->features.size());
+    for (const double f : info->features) mix_double(f);
+  }
+  EXPECT_EQ(h, 0x5f70fbc6a68282afULL) << std::hex << "0x" << h;
 }
 
 }  // namespace

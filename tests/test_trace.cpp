@@ -5,17 +5,23 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <limits>
 #include <sstream>
 #include <thread>
 #include <vector>
 
+#include "harness/journal.hpp"
 #include "harness/trace_analysis.hpp"
 #include "support/error.hpp"
 #include "support/log.hpp"
+#include "support/rng.hpp"
 #include "tuner/session.hpp"
+#include "tuner/suite_session.hpp"
 #include "workloads/suites.hpp"
 
 namespace jat {
@@ -238,6 +244,130 @@ TEST(TraceSchema, MissingFieldAndWrongTypeRejected) {
   EXPECT_NE(validate_trace_event(TraceEvent("not_a_type")), "");
 }
 
+// ---- number codec ------------------------------------------------------------
+//
+// Journals, stores and traces render doubles with std::to_chars and read
+// numbers with std::from_chars; both must be byte- and bit-identical to the
+// printf/strtod pair they replaced, or a reader would decode old files
+// differently.
+
+std::string printf_17g(double value) {
+  char buf[48];
+  std::snprintf(buf, sizeof buf, "%.17g", value);
+  return buf;
+}
+
+std::uint64_t bits(double value) { return std::bit_cast<std::uint64_t>(value); }
+
+std::vector<double> special_doubles() {
+  using L = std::numeric_limits<double>;
+  return {0.0,          -0.0,         L::denorm_min(), -L::denorm_min(),
+          L::min(),     -L::min(),    std::nextafter(L::min(), 0.0),
+          L::max(),     -L::max(),    L::infinity(),  -L::infinity(),
+          L::quiet_NaN(), -L::quiet_NaN(), 1.0,       0.1,
+          1e21,         1e-7,         123456789012345680.0};
+}
+
+/// strtod over a space-separated stream, the reference for
+/// journal_parse_doubles.
+std::vector<double> strtod_stream(const std::string& text) {
+  std::vector<double> out;
+  const char* p = text.c_str();
+  while (*p != '\0') {
+    char* end = nullptr;
+    const double t = std::strtod(p, &end);
+    if (end == p) break;
+    out.push_back(t);
+    p = end;
+    while (*p == ' ') ++p;
+  }
+  return out;
+}
+
+TEST(NumberCodec, AppendDoubleWritesPrintfBytes) {
+  for (const double v : special_doubles()) {
+    std::string out;
+    append_double(out, v);
+    EXPECT_EQ(out, printf_17g(v)) << std::hex << bits(v);
+  }
+  Rng rng(0x746f5f6368617273ULL);  // "to_chars"
+  constexpr int kPatterns = 1 << 20;
+  int mismatches = 0;
+  std::string out;
+  for (int i = 0; i < kPatterns; ++i) {
+    const double v = std::bit_cast<double>(rng.next_u64());
+    out.clear();
+    append_double(out, v);
+    if (out != printf_17g(v) && ++mismatches <= 5) {
+      ADD_FAILURE() << std::hex << bits(v) << ": " << out << " vs "
+                    << printf_17g(v);
+    }
+  }
+  EXPECT_EQ(mismatches, 0);
+}
+
+TEST(NumberCodec, DecodersReadWhatTheCLibraryReads) {
+  const std::vector<std::string> texts = {
+      "+5", "-0", ".5", "1e", "1e+308", "4.9e-324", "0x1p3", " 7", "inf",
+      "-nan", "nan(123)", "", "-", "1e999", "1e-400", "12abc", "0x",
+      "9223372036854775807", "9223372036854775808", "-9223372036854775809",
+      "18446744073709551616", "0x0123456789abcdef", "ffffffffffffffff",
+      "-1", "1.5 2.5", "1.5\t2"};
+  for (const std::string& text : texts) {
+    EXPECT_EQ(bits(decode_double(text)), bits(std::strtod(text.c_str(), nullptr)))
+        << "'" << text << "'";
+    EXPECT_EQ(decode_int(text), std::strtoll(text.c_str(), nullptr, 10))
+        << "'" << text << "'";
+    for (const int base : {10, 16}) {
+      char* end = nullptr;
+      const std::uint64_t expected = std::strtoull(text.c_str(), &end, base);
+      std::size_t consumed = 0;
+      EXPECT_EQ(decode_uint(text, base, &consumed), expected)
+          << "'" << text << "' base " << base;
+      EXPECT_EQ(consumed, static_cast<std::size_t>(end - text.c_str()))
+          << "'" << text << "' base " << base;
+    }
+    const std::vector<double> stream = journal_parse_doubles(text);
+    const std::vector<double> expected = strtod_stream(text);
+    ASSERT_EQ(stream.size(), expected.size()) << "'" << text << "'";
+    for (std::size_t i = 0; i < stream.size(); ++i) {
+      EXPECT_EQ(bits(stream[i]), bits(expected[i])) << "'" << text << "'";
+    }
+  }
+
+  // Writer output: every double journal_render_doubles can emit, and every
+  // integer std::to_string can.
+  std::vector<double> values = special_doubles();
+  Rng rng(0x66726f6d5f636873ULL);  // "from_chs"
+  for (int i = 0; i < (1 << 20); ++i) {
+    values.push_back(std::bit_cast<double>(rng.next_u64()));
+  }
+  int mismatches = 0;
+  for (const double v : values) {
+    const std::string text = printf_17g(v);
+    const double expected = std::strtod(text.c_str(), nullptr);
+    if (bits(decode_double(text)) != bits(expected) && ++mismatches <= 5) {
+      ADD_FAILURE() << text;
+    }
+    if (!std::isnan(v) && bits(expected) != bits(v) && ++mismatches <= 5) {
+      ADD_FAILURE() << text << " does not round-trip";
+    }
+    const auto i = static_cast<std::int64_t>(rng.next_u64());
+    if (decode_int(std::to_string(i)) != i && ++mismatches <= 5) {
+      ADD_FAILURE() << i;
+    }
+  }
+  EXPECT_EQ(mismatches, 0);
+  const std::vector<double> head(values.begin(), values.begin() + 4096);
+  const std::string stream = journal_render_doubles(head);
+  const std::vector<double> decoded = journal_parse_doubles(stream);
+  const std::vector<double> expected = strtod_stream(stream);
+  ASSERT_EQ(decoded.size(), expected.size());
+  for (std::size_t i = 0; i < decoded.size(); ++i) {
+    EXPECT_EQ(bits(decoded[i]), bits(expected[i])) << i;
+  }
+}
+
 // ---- full-session traces -----------------------------------------------------
 
 WorkloadSpec trace_workload() {
@@ -318,6 +448,10 @@ TEST_F(TraceSession, TraceReplayReproducesTheOutcome) {
   EXPECT_EQ(st.evaluations, outcome.evaluations);
   EXPECT_EQ(st.runs, outcome.runs);
   EXPECT_EQ(st.cache_hits, outcome.cache_hits);
+  // In process, every cache hit is also an event: the count from
+  // session_end is the one the events give.
+  EXPECT_EQ(st.cache_hits,
+            static_cast<std::int64_t>(trace.events_of("cache_hit").size()));
   EXPECT_DOUBLE_EQ(st.default_ms, outcome.default_ms);
   EXPECT_DOUBLE_EQ(st.best_ms, outcome.best_ms);
   EXPECT_DOUBLE_EQ(st.improvement, outcome.improvement_frac());
@@ -368,6 +502,34 @@ TEST_F(TraceSession, TraceReplayReproducesTheOutcome) {
   EXPECT_NE(report.find("trace-test"), std::string::npos);
   EXPECT_NE(report.find("hierarchical"), std::string::npos);
   EXPECT_NE(report.find("per-phase budget attribution"), std::string::npos);
+}
+
+// Suite members answer repeats from their runners' caches without a
+// cache_hit event, so the report reads the count from session_end; a trace
+// cut before session_end still counts events.
+TEST_F(TraceSession, SuiteCacheHitsComeFromSessionEnd) {
+  TraceSink trace;
+  SessionOptions options;
+  options.budget = SimTime::minutes(60);
+  options.seed = 7;
+  options.trace = &trace;
+  SuiteTuningSession session(sim_, specjvm2008_startup(), options);
+  HierarchicalTuner tuner;
+  (void)session.run(tuner);
+
+  const std::vector<SessionTrace> sessions = analyze_trace(trace.events());
+  ASSERT_EQ(sessions.size(), 1u);
+  EXPECT_EQ(sessions[0].cache_hits, 16);
+  EXPECT_NE(render_trace_report(sessions).find("(16 cache hits"),
+            std::string::npos);
+
+  std::vector<TraceEvent> cut = trace.events();
+  std::erase_if(cut, [](const TraceEvent& e) { return e.type == "session_end"; });
+  const std::vector<SessionTrace> partial = analyze_trace(cut);
+  ASSERT_EQ(partial.size(), 1u);
+  EXPECT_FALSE(partial[0].complete);
+  EXPECT_EQ(partial[0].cache_hits,
+            static_cast<std::int64_t>(trace.events_of("cache_hit").size()));
 }
 
 // Two sessions in one sink split cleanly on session_start boundaries.
