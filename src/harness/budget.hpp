@@ -9,12 +9,13 @@
 // the EvalScheduler admits on its committed ledger (tuner/scheduler.hpp),
 // which bounds overshoot to one in-flight window.
 //
-// MeteredBudget is a pass-through decorator that tallies the charges of
-// one measurement across every evaluator layer (runner, fault injector,
-// resilience), so a scheduler can account per-evaluation cost without
-// modifying any layer.
+// MeteredBudget is one measurement's view of the clock: it tallies the
+// charges of that measurement across every evaluator layer (runner, fault
+// injector, resilience), so a scheduler can account per-evaluation cost
+// without modifying any layer, and optionally caps them at a deadline.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 
@@ -52,51 +53,27 @@ class BudgetClock {
   std::atomic<std::int64_t> spent_us_{0};
 };
 
-/// Pass-through decorator that forwards to a parent clock (sharing its
-/// global spent/exhausted view, so layers like the runner's mid-measurement
-/// expiry checks behave identically) while tallying the charges made
-/// through *this* instance. One MeteredBudget per measurement gives the
+/// One evaluation's view of a parent clock. It forwards charges to the
+/// parent, sharing its global spent/exhausted view (so layers like the
+/// runner's mid-measurement expiry checks behave identically), and tallies
+/// the charges made through *this* view: one per measurement gives the
 /// scheduler the exact budget cost of that evaluation, whatever evaluator
-/// layers charged it. With a null parent it degrades to a free-standing
-/// tally with an unlimited budget.
-class MeteredBudget final : public BudgetClock {
- public:
-  explicit MeteredBudget(BudgetClock* parent)
-      : BudgetClock(parent != nullptr ? parent->total() : SimTime::infinite()),
-        parent_(parent) {}
-
-  SimTime spent() const override {
-    return parent_ != nullptr ? parent_->spent() : metered();
-  }
-
-  void charge(SimTime cost) override {
-    metered_us_.fetch_add(cost.as_micros(), std::memory_order_relaxed);
-    if (parent_ != nullptr) parent_->charge(cost);
-  }
-
-  /// Total charged through this decorator (one measurement's cost).
-  SimTime metered() const {
-    return SimTime::micros(metered_us_.load(std::memory_order_relaxed));
-  }
-
- private:
-  BudgetClock* parent_;
-  std::atomic<std::int64_t> metered_us_{0};
-};
-
-/// Per-measurement deadline decorator: forwards charges to the parent clock
-/// but caps the amount this measurement may consume. Once the metered total
-/// reaches the deadline, charges are clamped so the parent is never billed
+/// layers charged it. With a null parent it is a free-standing tally with
+/// an unlimited budget.
+///
+/// An optional deadline caps what the evaluation may consume. Once the
+/// tally reaches it, charges are clamped so the parent is never billed
 /// past it, exhausted() reports true (which the runner's between-repetition
-/// expiry check turns into a cutoff), and an optional CancellationToken is
+/// expiry check turns into a cutoff), and the optional CancellationToken is
 /// cancelled so cooperative layers below stop early. This is how the
 /// resilience layer turns an injected hang — a single lump charge of the
 /// full hang timeout — into a bounded, classified kTimeout instead of a
 /// budget sinkhole.
-class DeadlineBudget final : public BudgetClock {
+class MeteredBudget final : public BudgetClock {
  public:
-  DeadlineBudget(BudgetClock* parent, SimTime deadline,
-                 CancellationToken* token = nullptr)
+  explicit MeteredBudget(BudgetClock* parent,
+                         SimTime deadline = SimTime::infinite(),
+                         CancellationToken* token = nullptr)
       : BudgetClock(parent != nullptr ? parent->total() : SimTime::infinite()),
         parent_(parent),
         deadline_us_(deadline.as_micros()),
@@ -111,23 +88,22 @@ class DeadlineBudget final : public BudgetClock {
   }
 
   void charge(SimTime cost) override {
+    const std::int64_t us = cost.as_micros();
     const std::int64_t before =
-        metered_us_.fetch_add(cost.as_micros(), std::memory_order_relaxed);
-    std::int64_t allowed = cost.as_micros();
-    if (before >= deadline_us_) {
-      allowed = 0;
-    } else if (before + allowed > deadline_us_) {
-      allowed = deadline_us_ - before;
-    }
-    if (before + cost.as_micros() >= deadline_us_ && token_ != nullptr) {
-      token_->cancel();
-    }
+        metered_us_.fetch_add(us, std::memory_order_relaxed);
+    // What the deadline still allows: compared with the charge, never
+    // summed with it, so the unlimited deadline (INT64_MAX µs) cannot
+    // overflow.
+    const std::int64_t room =
+        before >= deadline_us_ ? 0 : deadline_us_ - before;
+    if (us >= room && token_ != nullptr) token_->cancel();
+    const std::int64_t allowed = std::min(us, room);
     if (allowed > 0 && parent_ != nullptr) {
       parent_->charge(SimTime::micros(allowed));
     }
   }
 
-  /// Total this measurement attempted to charge (uncapped).
+  /// Total this evaluation attempted to charge (uncapped).
   SimTime metered() const {
     return SimTime::micros(metered_us_.load(std::memory_order_relaxed));
   }

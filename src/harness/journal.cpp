@@ -4,6 +4,7 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <bit>
 #include <cerrno>
 #include <charconv>
@@ -17,6 +18,7 @@
 #include "flags/configuration.hpp"
 #include "flags/registry.hpp"
 #include "support/log.hpp"
+#include "support/process.hpp"
 #include "support/rng.hpp"
 #include "support/statistics.hpp"
 #include "support/trace.hpp"
@@ -88,30 +90,6 @@ bool journal_scan_record(std::string_view line, std::size_t line_no,
   return true;
 }
 
-bool journal_read_file(int fd, std::string& data) {
-  struct stat st {};
-  const std::size_t expected =
-      ::fstat(fd, &st) == 0 && st.st_size > 0
-          ? static_cast<std::size_t>(st.st_size)
-          : 0;
-  // One spare byte: a file that has not grown ends with a read of 0.
-  data.resize(expected + 1);
-  std::size_t used = 0;
-  for (;;) {
-    if (used == data.size()) data.resize(2 * data.size());
-    const ssize_t n = ::read(fd, data.data() + used, data.size() - used);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      data.clear();
-      return false;
-    }
-    if (n == 0) break;
-    used += static_cast<std::size_t>(n);
-  }
-  data.resize(used);
-  return true;
-}
-
 std::string journal_render_double(double value) {
   std::string out;
   append_double(out, value);
@@ -154,6 +132,89 @@ std::vector<double> journal_parse_doubles(std::string_view text) {
     while (p != end && *p == ' ') ++p;
   }
   return out;
+}
+
+void journal_put_metrics(TraceEvent& event,
+                         const std::vector<MetricVector>& rows) {
+  if (rows.empty()) return;
+  std::string text;
+  for (const MetricVector& row : rows) {
+    for (const double value : row.v) {
+      if (!text.empty()) text += ' ';
+      append_double(text, value);
+    }
+  }
+  event.fields.emplace_back("metric_cols",
+                            static_cast<std::int64_t>(kMetricCount));
+  event.fields.emplace_back("metrics", std::move(text));
+}
+
+std::optional<std::vector<MetricVector>> journal_metric_rows(
+    std::int64_t cols, const std::vector<double>& values, std::size_t reps) {
+  const auto width = static_cast<std::size_t>(kMetricCount);
+  if (cols != kMetricCount || values.size() != reps * width) {
+    return std::nullopt;
+  }
+  std::vector<MetricVector> rows(reps);
+  for (std::size_t r = 0; r < reps; ++r) {
+    std::copy_n(values.begin() + static_cast<std::ptrdiff_t>(r * width),
+                width, rows[r].v.begin());
+  }
+  return rows;
+}
+
+bool journal_load_lines(int fd, bool read_only, const JournalLineKeeper& keep,
+                        std::size_t& dropped) {
+  struct stat st {};
+  if (::fstat(fd, &st) != 0) return false;
+  std::string data(static_cast<std::size_t>(std::max<off_t>(st.st_size, 0)),
+                   '\0');
+  std::size_t size = 0;
+  while (size < data.size()) {
+    const ssize_t n = ::pread(fd, data.data() + size, data.size() - size,
+                              static_cast<off_t>(size));
+    if (n < 0 && errno == EINTR) continue;
+    if (n < 0) return false;
+    if (n == 0) break;  // the file shrank since fstat
+    size += static_cast<std::size_t>(n);
+  }
+  const std::string_view text(data.data(), size);
+
+  std::size_t valid_end = 0;
+  std::size_t line_no = 0;
+  for (;;) {
+    const std::size_t nl = text.find('\n', valid_end);
+    if (nl == std::string_view::npos) break;  // torn final append
+    const std::string_view line = text.substr(valid_end, nl - valid_end);
+    if (!line.empty() && !keep(line, line_no + 1)) break;
+    ++line_no;
+    valid_end = nl + 1;
+  }
+  dropped = 0;
+  for (std::size_t p = valid_end; p < text.size();) {
+    const std::size_t end = std::min(text.find('\n', p), text.size());
+    if (end > p) ++dropped;
+    p = end + 1;
+  }
+  return read_only || valid_end == text.size() ||
+         ::ftruncate(fd, static_cast<off_t>(valid_end)) == 0;
+}
+
+bool journal_append_line(int fd, std::string line) {
+  line += '\n';
+  std::size_t written = 0;
+  if (write_all(fd, line.data(), line.size(), &written)) return true;
+  const int error = errno;
+  if (written > 0) {
+    // After an O_APPEND write the offset sits at the end of what it wrote.
+    const off_t end = ::lseek(fd, 0, SEEK_CUR);
+    if (end >= static_cast<off_t>(written)) {
+      [[maybe_unused]] const int rc =
+          ::ftruncate(fd, end - static_cast<off_t>(written));
+    }
+  }
+  errno = error;
+  return false;
 }
 
 namespace {
@@ -314,19 +375,6 @@ JournalMeta meta_from_event(const TraceEvent& event) {
   return meta;
 }
 
-/// Row-major rendering of the rep × metric matrix; a flat stream of %.17g
-/// doubles round-trips every bit.
-std::string render_metrics(const std::vector<MetricVector>& rows) {
-  std::string out;
-  for (const MetricVector& row : rows) {
-    for (double value : row.v) {
-      if (!out.empty()) out += ' ';
-      append_double(out, value);
-    }
-  }
-  return out;
-}
-
 TraceEvent eval_to_event(const JournalEval& eval) {
   TraceEvent event("journal_eval", eval.budget_spent);
   event.fields.emplace_back("seq", eval.seq);
@@ -335,11 +383,7 @@ TraceEvent eval_to_event(const JournalEval& eval) {
   event.fields.emplace_back("times_ms", render_times(eval.times_ms));
   // Metric rows ride along only under non-run_time objectives (see
   // make_journal_eval): run_time records keep the version-1 byte layout.
-  if (!eval.rep_metrics.empty()) {
-    event.fields.emplace_back("metric_cols",
-                              static_cast<std::int64_t>(kMetricCount));
-    event.fields.emplace_back("metrics", render_metrics(eval.rep_metrics));
-  }
+  journal_put_metrics(event, eval.rep_metrics);
   return std::move(event)
       .with("crashed", eval.crashed)
       .with("crash_reason", eval.crash_reason)
@@ -392,21 +436,16 @@ JournalEval eval_from_event(const TraceEvent& event, std::size_t line_no,
   if (!metrics_text.empty()) {
     const auto cols = event.get_int("metric_cols", kMetricCount);
     const std::vector<double> flat = parse_times(metrics_text);
-    if (cols != kMetricCount ||
-        flat.size() != eval.times_ms.size() * kMetricCount) {
+    std::optional<std::vector<MetricVector>> rows =
+        journal_metric_rows(cols, flat, eval.times_ms.size());
+    if (rows.has_value()) {
+      eval.rep_metrics = std::move(*rows);
+    } else {
       warn("metrics", metrics_text,
            "uninterpretable metric block (cols=" + std::to_string(cols) +
                ", values=" + std::to_string(flat.size()) +
                ", reps=" + std::to_string(eval.times_ms.size()) +
                "); dropped");
-    } else {
-      const auto cols_z = static_cast<std::size_t>(kMetricCount);
-      eval.rep_metrics.resize(eval.times_ms.size());
-      for (std::size_t r = 0; r < eval.rep_metrics.size(); ++r) {
-        for (std::size_t c = 0; c < cols_z; ++c) {
-          eval.rep_metrics[r].v[c] = flat[r * cols_z + c];
-        }
-      }
     }
   }
   eval.cost = SimTime::micros(event.get_int("cost_us"));
@@ -459,94 +498,59 @@ SessionJournal SessionJournal::resume(const std::string& path,
                        "': " + std::strerror(errno));
   }
 
-  std::string data;
-  if (!journal_read_file(journal.fd_, data)) {
-    throw JournalError("cannot read journal '" + path +
+  // Tolerant read: apply the longest valid prefix; the first corrupt or
+  // partial record ends it, and the file is cut there.
+  const auto keep = [&](std::string_view line, std::size_t line_no) {
+    const std::optional<TraceEvent> event = decode_record(line, line_no);
+    if (!event.has_value()) return false;
+    if (event->type == "journal_meta") {
+      if (journal.meta_.has_value()) {
+        throw JournalError("journal '" + path +
+                           "' holds more than one metadata record");
+      }
+      JournalMeta meta = meta_from_event(*event);
+      // Every version up to the writer's own is readable: version 1 is the
+      // metric-less run_time form, version 2 adds the objective field +
+      // metric rows. validate_resume_meta still insists the *session*
+      // agrees with the journaled version (both sides derive it from the
+      // objective id, so a mismatch means a real conflict).
+      if (meta.version < kVersion || meta.version > kVersionObjectives) {
+        throw JournalError("version", std::to_string(meta.version),
+                           std::to_string(kVersionObjectives));
+      }
+      journal.meta_ = std::move(meta);
+    } else if (event->type == "journal_eval") {
+      if (!journal.meta_.has_value()) {
+        throw JournalError("journal '" + path +
+                           "' has an eval record before its metadata");
+      }
+      JournalEval eval = eval_from_event(*event, line_no, &journal.warnings_);
+      const auto expected =
+          static_cast<std::int64_t>(journal.committed_.size());
+      if (eval.seq != expected) {
+        throw JournalError(
+            "journal '" + path + "' line " + std::to_string(line_no) +
+            ": duplicate or out-of-order record (expected seq " +
+            std::to_string(expected) + ", found " + std::to_string(eval.seq) +
+            ")");
+      }
+      journal.committed_.push_back(std::move(eval));
+    } else if (event->type == "journal_end") {
+      journal.ended_ = true;
+    }
+    // Unknown record types are skipped: a newer writer may add kinds this
+    // reader does not know, and their checksums already validated.
+    return true;
+  };
+  if (!journal_load_lines(journal.fd_, /*read_only=*/false, keep,
+                          journal.dropped_)) {
+    throw JournalError("cannot load journal '" + path +
                        "': " + std::strerror(errno));
   }
-
-  // Tolerant read: apply the longest valid prefix; stop at the first
-  // corrupt or partial record and physically truncate the file there, so
-  // later appends continue a clean log.
-  std::size_t pos = 0;
-  std::size_t valid_end = 0;
-  std::size_t line_no = 0;
-  bool corrupt = false;
-  while (pos < data.size()) {
-    const std::size_t nl = data.find('\n', pos);
-    if (nl == std::string::npos) {
-      corrupt = true;  // torn final append: no record without its newline
-      break;
-    }
-    const std::string_view line =
-        std::string_view(data).substr(pos, nl - pos);
-    ++line_no;
-    if (!line.empty()) {
-      const std::optional<TraceEvent> event = decode_record(line, line_no);
-      if (!event.has_value()) {
-        corrupt = true;
-        break;
-      }
-      if (event->type == "journal_meta") {
-        if (journal.meta_.has_value()) {
-          throw JournalError("journal '" + path +
-                             "' holds more than one metadata record");
-        }
-        JournalMeta meta = meta_from_event(*event);
-        // Every version up to the writer's own is readable: version 1 is
-        // the metric-less run_time form, version 2 adds the objective
-        // field + metric rows. validate_resume_meta still insists the
-        // *session* agrees with the journaled version (both sides derive
-        // it from the objective id, so a mismatch means a real conflict).
-        if (meta.version < kVersion || meta.version > kVersionObjectives) {
-          throw JournalError("version", std::to_string(meta.version),
-                             std::to_string(kVersionObjectives));
-        }
-        journal.meta_ = std::move(meta);
-      } else if (event->type == "journal_eval") {
-        if (!journal.meta_.has_value()) {
-          throw JournalError("journal '" + path +
-                             "' has an eval record before its metadata");
-        }
-        JournalEval eval =
-            eval_from_event(*event, line_no, &journal.warnings_);
-        const auto expected =
-            static_cast<std::int64_t>(journal.committed_.size());
-        if (eval.seq != expected) {
-          throw JournalError(
-              "journal '" + path + "' line " + std::to_string(line_no) +
-              ": duplicate or out-of-order record (expected seq " +
-              std::to_string(expected) + ", found " +
-              std::to_string(eval.seq) + ")");
-        }
-        journal.committed_.push_back(std::move(eval));
-      } else if (event->type == "journal_end") {
-        journal.ended_ = true;
-      }
-      // Unknown record types are skipped: a newer writer may add kinds this
-      // reader does not know, and their checksums already validated.
-    }
-    pos = nl + 1;
-    valid_end = pos;
-  }
-
-  if (corrupt) {
-    std::size_t dropped = 0;
-    std::size_t p = valid_end;
-    while (p < data.size()) {
-      const std::size_t nl = data.find('\n', p);
-      const std::size_t end = nl == std::string::npos ? data.size() : nl;
-      if (end > p) ++dropped;
-      p = nl == std::string::npos ? data.size() : nl + 1;
-    }
-    journal.dropped_ = dropped;
-    log_warn() << "journal " << path << ": dropped " << dropped
+  if (journal.dropped_ > 0) {
+    log_warn() << "journal " << path << ": dropped " << journal.dropped_
                << " corrupt/partial trailing record(s); keeping "
                << journal.committed_.size() << " committed evaluation(s)";
-    if (::ftruncate(journal.fd_, static_cast<off_t>(valid_end)) != 0) {
-      throw JournalError("cannot truncate journal '" + path +
-                         "': " + std::strerror(errno));
-    }
   }
 
   if (!journal.meta_.has_value()) {
@@ -613,21 +617,11 @@ const JournalMeta& SessionJournal::meta() const {
   return *meta_;
 }
 
-void SessionJournal::write_line(const std::string& line, bool sync) {
+void SessionJournal::write_line(std::string line, bool sync) {
   if (fd_ < 0) throw JournalError("journal '" + path_ + "' is closed");
-  std::string buffer = line;
-  buffer += '\n';
-  const char* p = buffer.data();
-  std::size_t left = buffer.size();
-  while (left > 0) {
-    const ssize_t n = ::write(fd_, p, left);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      throw JournalError("journal write to '" + path_ +
-                         "' failed: " + std::strerror(errno));
-    }
-    p += n;
-    left -= static_cast<std::size_t>(n);
+  if (!journal_append_line(fd_, std::move(line))) {
+    throw JournalError("journal write to '" + path_ +
+                       "' failed: " + std::strerror(errno));
   }
   if (sync) sync_or_throw();
 }

@@ -10,10 +10,12 @@
 // per committed evaluation (appended *before* the result is applied — WAL
 // semantics), preceded by a metadata record that pins everything the
 // replay depends on (flag-space fingerprint, seed, strategy, budget,
-// window). Records are written with a single atomic append and an fsync
-// every `sync_every` records; each carries a content checksum, and the
-// reader truncates at the first corrupt or partial record, so a torn tail
-// costs at most the unsynced suffix — which resume simply re-measures.
+// window). Records are appended through the log layer at the end of this
+// header, which cuts a failed append back instead of leaving it partial,
+// with an fsync every `sync_every` records; each carries a content
+// checksum, and the reader truncates at the first corrupt or partial
+// record, so a torn tail costs at most the unsynced suffix — which resume
+// simply re-measures.
 //
 // Duplicate or out-of-order sequence numbers, or a metadata record that
 // does not match the resuming session, are *not* corruption: they mean a
@@ -22,6 +24,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <mutex>
 #include <optional>
 #include <string>
@@ -142,10 +145,6 @@ struct JournalOptions {
   int crash_after_appends = 0;
 };
 
-/// The write-ahead journal itself. Single-writer (the scheduler's control
-/// thread); appends are one write(2) each, so a concurrent reader or a
-/// crash never observes an interleaved record — at worst a torn final line,
-/// which the tolerant reader drops.
 /// A recoverable oddity the tolerant reader noticed but proceeded past:
 /// an unknown fault/stop label (read as clean — surfaced so it is never
 /// *silently* read as clean) or an uninterpretable metric block.
@@ -156,6 +155,10 @@ struct JournalWarning {
   std::string message;    ///< human-readable description
 };
 
+/// The write-ahead journal itself. Single-writer (the scheduler's control
+/// thread); each append is one journal_append_line(), so a concurrent
+/// reader or a crash never observes an interleaved record — at worst a
+/// torn final line, which the tolerant reader drops.
 class SessionJournal {
  public:
   /// Base format: metric-less records, implicit run_time objective.
@@ -214,9 +217,9 @@ class SessionJournal {
   /// Writes the metadata record (first record; always fsynced). Only valid
   /// on a fresh journal.
   void write_meta(const JournalMeta& meta);
-  /// Appends one committed evaluation: a single atomic write, fsynced every
-  /// `sync_every` appends. Call *before* applying the result (WAL order);
-  /// a crash between append and apply merely replays the record on resume.
+  /// Appends one committed evaluation, fsynced every `sync_every` appends.
+  /// Call *before* applying the result (WAL order); a crash between append
+  /// and apply merely replays the record on resume.
   void append(const JournalEval& eval);
   /// Marks a clean end of session (best config and validated objectives);
   /// always fsynced.
@@ -227,7 +230,7 @@ class SessionJournal {
 
  private:
   SessionJournal() = default;
-  void write_line(const std::string& line, bool sync);
+  void write_line(std::string line, bool sync);
   /// fsync, throwing JournalError on failure (mutex_ held).
   void sync_or_throw();
   /// Closes the descriptor after a best-effort fsync whose failure cannot
@@ -252,8 +255,8 @@ class SessionJournal {
 // Shared with the cross-session result store (harness/store.hpp), which
 // persists its records through the exact same on-disk form: one trace-JSONL
 // object per line plus a trailing `,"crc":"<16 hex>"}` FNV-1a content
-// checksum, appended with a single write(2) and read back by a tolerant
-// reader that treats any checksum or parse failure as corruption.
+// checksum, appended and read back through the log layer below, whose
+// reader treats any checksum or parse failure as corruption.
 
 /// Serialises one record: the trace JSONL form of `event` with the CRC
 /// suffix spliced in before the closing brace.
@@ -272,11 +275,6 @@ std::optional<TraceEvent> journal_decode_record(std::string_view line,
 bool journal_scan_record(std::string_view line, std::size_t line_no,
                          const JsonFieldVisitor& visit);
 
-/// Reads `fd` from its offset to the end of the file into `data`: one
-/// buffer sized by fstat(2), grown only if the file grows meanwhile.
-/// Returns false, with errno set, when a read fails.
-bool journal_read_file(int fd, std::string& data);
-
 /// %.17g rendering used for every double in journal/store records — the
 /// shortest decimal form that round-trips each bit.
 std::string journal_render_double(double value);
@@ -287,6 +285,43 @@ std::string journal_render_double(double value);
 /// never a crash.
 std::string journal_render_doubles(const std::vector<double>& values);
 std::vector<double> journal_parse_doubles(std::string_view text);
+
+/// A record's metric block: `metric_cols` plus the per-repetition rows as
+/// one row-major %.17g stream (`metrics`). Adds nothing for no rows.
+void journal_put_metrics(TraceEvent& event,
+                         const std::vector<MetricVector>& rows);
+/// Its inverse over the stream's parsed `values`: the rows of `reps`
+/// repetitions, or nullopt unless `cols` is kMetricCount and there are
+/// exactly reps × cols values.
+std::optional<std::vector<MetricVector>> journal_metric_rows(
+    std::int64_t cols, const std::vector<double>& values, std::size_t reps);
+
+// ---- the append-only log under both durable files ---------------------------
+//
+// The journal and the result store keep their records as lines of one
+// append-only file. These two functions are the only code that reads,
+// cuts or appends either file; the callers add their schema, locking and
+// sync policy.
+
+/// Receives one complete, non-empty line (without its newline) and its
+/// 1-based line number; returns false to reject it.
+using JournalLineKeeper =
+    std::function<bool(std::string_view line, std::size_t line_no)>;
+
+/// Reads the file behind `fd` with one read sized by fstat(2) and passes
+/// its complete lines to `keep` until it rejects one. The first rejected or
+/// unterminated line ends the valid prefix: `dropped` counts the non-empty
+/// pieces from there on, and a writable file (not `read_only`) is cut
+/// there, so the next append starts a clean line. Returns false, with
+/// errno set, when the read or the cut fails.
+bool journal_load_lines(int fd, bool read_only, const JournalLineKeeper& keep,
+                        std::size_t& dropped);
+
+/// Appends `line` and its newline to `fd` (opened O_APPEND) through
+/// write_all(). When a write fails partway, the file is cut back to where
+/// the line began, so it never holds a partial line; returns false with the
+/// write's errno. Callers sharing the file serialise their appends.
+bool journal_append_line(int fd, std::string line);
 
 /// Fingerprint of a flag space for JournalMeta::space_fingerprint.
 std::uint64_t space_fingerprint(const FlagRegistry& registry);

@@ -85,8 +85,8 @@ Measurement ResilientEvaluator::measure(const Configuration& config,
       // deadline, and the trip cancels the attempt's token so cooperative
       // layers below stop early.
       CancellationToken hang_token;
-      DeadlineBudget deadline(budget, SimTime::seconds(options_.hang_deadline_s),
-                              &hang_token);
+      MeteredBudget deadline(budget, SimTime::seconds(options_.hang_deadline_s),
+                             &hang_token);
       m = inner_->measure(config, &deadline, hints);
       if (deadline.tripped() && m.crashed) {
         m.fault = FaultClass::kTimeout;

@@ -43,10 +43,10 @@ struct ResilienceOptions {
   /// Nominal cost of a quarantine answer (a result-database lookup).
   double quarantine_answer_cost_s = 0.05;
   /// Per-measurement hang deadline in simulated seconds (0 = off). Each
-  /// attempt runs under a DeadlineBudget: a candidate that tries to charge
-  /// more than this — an injected hang burning its full harness timeout,
-  /// say — is cut off at the deadline, billed only the deadline, and
-  /// classified FaultClass::kTimeout.
+  /// attempt runs under a MeteredBudget with this deadline: a candidate
+  /// that tries to charge more than this — an injected hang burning its
+  /// full harness timeout, say — is cut off at the deadline, billed only
+  /// the deadline, and classified FaultClass::kTimeout.
   double hang_deadline_s = 0.0;
 };
 

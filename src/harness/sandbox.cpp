@@ -269,20 +269,6 @@ enum class IoStatus {
   kTimeout,  ///< deadline expired
 };
 
-/// Writes the whole buffer; pipes can short-write past PIPE_BUF.
-IoStatus write_all(int fd, const char* data, std::size_t len) {
-  std::size_t sent = 0;
-  while (sent < len) {
-    const ssize_t n = ::write(fd, data + sent, len - sent);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return IoStatus::kEof;  // EPIPE: the worker is gone
-    }
-    sent += static_cast<std::size_t>(n);
-  }
-  return IoStatus::kOk;
-}
-
 IoStatus write_frame(int fd, std::uint32_t magic, const std::string& payload) {
   FrameHeader header;
   header.magic = magic;
@@ -292,7 +278,10 @@ IoStatus write_frame(int fd, std::uint32_t magic, const std::string& payload) {
   frame.reserve(sizeof header + payload.size());
   frame.append(reinterpret_cast<const char*>(&header), sizeof header);
   frame += payload;
-  return write_all(fd, frame.data(), frame.size());
+  // Pipes can short-write past PIPE_BUF; write_all() continues. A failure
+  // is EPIPE: the peer is gone.
+  return write_all(fd, frame.data(), frame.size()) ? IoStatus::kOk
+                                                   : IoStatus::kEof;
 }
 
 /// Reads exactly `len` bytes, honouring an optional wall-clock deadline.

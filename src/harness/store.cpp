@@ -27,20 +27,6 @@ namespace {
 
 constexpr const char* kStoreFileName = "store.jsonl";
 
-/// Whole-buffer write; short writes continue, EINTR retries.
-bool write_all(int fd, const char* data, std::size_t len) {
-  std::size_t sent = 0;
-  while (sent < len) {
-    const ssize_t n = ::write(fd, data + sent, len - sent);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    sent += static_cast<std::size_t>(n);
-  }
-  return true;
-}
-
 TraceEvent result_to_event(const StoreRecord& rec) {
   TraceEvent event("store_result");
   // Doubles travel as %.17g strings (the journal's convention), so a
@@ -52,16 +38,7 @@ TraceEvent result_to_event(const StoreRecord& rec) {
   event.fields.emplace_back("workload", rec.workload);
   event.fields.emplace_back("value", journal_render_double(rec.objective_value));
   event.fields.emplace_back("times_ms", journal_render_doubles(rec.times_ms));
-  if (!rec.rep_metrics.empty()) {
-    std::vector<double> flat;
-    flat.reserve(rec.rep_metrics.size() * kMetricCount);
-    for (const MetricVector& row : rec.rep_metrics) {
-      flat.insert(flat.end(), row.v.begin(), row.v.end());
-    }
-    event.fields.emplace_back("metric_cols",
-                              static_cast<std::int64_t>(kMetricCount));
-    event.fields.emplace_back("metrics", journal_render_doubles(flat));
-  }
+  journal_put_metrics(event, rec.rep_metrics);
   return std::move(event)
       .with("stop", std::string(to_string(rec.stop)))
       .with("failed_reps", static_cast<std::int64_t>(rec.failed_reps))
@@ -180,14 +157,10 @@ std::optional<LineKind> decode_line(std::string_view line,
     rec.key.workload_fingerprint = wl;
     // An uninterpretable metric block drops the metrics, not the record:
     // times_ms alone still answers run_time sessions bit-identically.
-    if (has_metrics && metric_cols == kMetricCount &&
-        metrics.size() == rec.times_ms.size() * kMetricCount) {
-      const auto cols = static_cast<std::size_t>(kMetricCount);
-      rec.rep_metrics.resize(rec.times_ms.size());
-      for (std::size_t r = 0; r < rec.rep_metrics.size(); ++r) {
-        std::copy_n(metrics.begin() + static_cast<std::ptrdiff_t>(r * cols),
-                    cols, rec.rep_metrics[r].v.begin());
-      }
+    if (has_metrics) {
+      std::optional<std::vector<MetricVector>> rows =
+          journal_metric_rows(metric_cols, metrics, rec.times_ms.size());
+      if (rows.has_value()) rec.rep_metrics = std::move(*rows);
     }
     return LineKind::kResult;
   }
@@ -267,59 +240,34 @@ ResultStore::~ResultStore() {
 }
 
 void ResultStore::load(int fd) {
-  std::string data;
-  if (!journal_read_file(fd, data)) {
-    throw StoreError("cannot read store '" + path_ +
-                     "': " + std::strerror(errno));
-  }
-
   std::lock_guard lock(mutex_);
-  const std::string_view text(data);
-  std::size_t pos = 0;
-  std::size_t line_no = 0;
-  std::size_t valid_end = 0;
-  while (pos < text.size()) {
-    const std::size_t nl = text.find('\n', pos);
-    if (nl == std::string_view::npos) {
-      // Torn final append from a crashed writer: not a complete record.
-      ++stats_.dropped;
-      break;
-    }
-    const std::string_view line = text.substr(pos, nl - pos);
-    ++line_no;
-    pos = nl + 1;
-    valid_end = pos;
-    if (line.empty()) continue;
+  const auto keep = [this](std::string_view line, std::size_t line_no) {
     StoreRecord rec;
     StoreWorkloadInfo info;
     const std::optional<LineKind> kind = decode_line(line, line_no, rec, info);
-    if (!kind.has_value()) {
+    if (!kind.has_value() ||
+        (*kind == LineKind::kResult && rec.times_ms.empty())) {
       // Unlike the single-writer journal, corruption here is not a clean
       // prefix boundary — another session's appends follow it. Skip and
-      // count; never truncate interior bytes.
+      // count; never cut interior bytes.
       ++stats_.dropped;
-      continue;
-    }
-    if (*kind == LineKind::kResult) {
-      if (rec.times_ms.empty()) {
-        ++stats_.dropped;
-        continue;
-      }
+    } else if (*kind == LineKind::kResult) {
       ++stats_.loaded;
       absorb(std::move(rec));
     } else if (*kind == LineKind::kWorkload) {
       workloads_.emplace(info.workload_fingerprint, std::move(info));
       ++stats_.loaded;
     }
+    return true;
+  };
+  // Only a torn final append ends the valid prefix; a writable store cuts
+  // it (the caller holds the exclusive lock) before its first append.
+  std::size_t torn = 0;
+  if (!journal_load_lines(fd, options_.read_only, keep, torn)) {
+    throw StoreError("cannot load store '" + path_ +
+                     "': " + std::strerror(errno));
   }
-  if (!options_.read_only && valid_end < text.size()) {
-    // Physically drop the unterminated tail so this session's appends
-    // continue a clean log. Caller holds the exclusive lock.
-    if (::ftruncate(fd, static_cast<off_t>(valid_end)) != 0) {
-      throw StoreError("cannot truncate store '" + path_ +
-                       "': " + std::strerror(errno));
-    }
-  }
+  stats_.dropped += static_cast<std::int64_t>(torn);
   stats_.records = static_cast<std::int64_t>(index_.size());
   stats_.workloads = static_cast<std::int64_t>(workloads_.size());
 }
@@ -352,19 +300,22 @@ int ResultStore::writable_fd() {
   return fd_;
 }
 
-void ResultStore::append_line(std::string line) {
+bool ResultStore::append_line(std::string line) {
   const int fd = writable_fd();
-  if (fd < 0) return;
-  line += '\n';
+  if (fd < 0) return false;
+  // Under the exclusive lock a failed append is cut back before another
+  // handle's record can follow it.
   ::flock(fd, LOCK_EX);
-  const bool ok = write_all(fd, line.data(), line.size());
+  const bool ok = journal_append_line(fd, std::move(line));
+  const int error = errno;
   ::flock(fd, LOCK_UN);
   if (!ok) {
     write_failed_ = true;
     log_warn() << "store " << path_
-               << ": append failed: " << std::strerror(errno)
+               << ": append failed: " << std::strerror(error)
                << "; further results will not be persisted";
   }
+  return ok;
 }
 
 const StoreRecord* ResultStore::lookup(const StoreKey& key) {
@@ -397,8 +348,9 @@ void ResultStore::put(StoreRecord record) {
   std::lock_guard lock(mutex_);
   if (!absorb(record)) return;
   stats_.records = static_cast<std::int64_t>(index_.size());
-  append_line(journal_encode_record(result_to_event(record)));
-  ++stats_.appends;
+  if (append_line(journal_encode_record(result_to_event(record)))) {
+    ++stats_.appends;
+  }
 }
 
 void ResultStore::put_workload(std::uint64_t space_fingerprint,

@@ -12,20 +12,22 @@
 // On-disk form
 //   One JSONL file (`store.jsonl` inside the store directory) in the
 //   session journal's record dialect (journal.hpp): each line is a trace
-//   JSONL object plus a trailing FNV-1a content checksum, appended with a
-//   single write(2). Two record types: `store_result` (one measurement)
-//   and `store_workload` (a workload's descriptor feature vector, the
-//   basis for cross-workload neighbor ranking). The reader is tolerant:
-//   corrupt lines are skipped and counted, a torn trailing line is
-//   physically truncated (writable stores) before the first append.
+//   JSONL object plus a trailing FNV-1a content checksum, read and
+//   appended through the journal's log layer. Two record types:
+//   `store_result` (one measurement) and `store_workload` (a workload's
+//   descriptor feature vector, the basis for cross-workload neighbor
+//   ranking). The reader is tolerant: corrupt lines are skipped and
+//   counted, a torn trailing line is physically truncated (writable
+//   stores) before the first append.
 //
 // Concurrency
 //   Multiple sessions — and forked sandbox workers — share one store file
 //   safely via advisory file locking: every append (and the open-time tail
-//   repair) holds an exclusive flock(2), and each append is a single
-//   O_APPEND write, so records never interleave. Sessions read the index
-//   at open; appends made by other sessions after that are picked up at
-//   their next open (the in-memory index is a snapshot, which keeps
+//   repair) holds an exclusive flock(2), and each append is one O_APPEND
+//   journal_append_line(), which cuts a failed write back under that lock,
+//   so records never interleave or join a partial line. Sessions read the
+//   index at open; appends made by other sessions after that are picked up
+//   at their next open (the in-memory index is a snapshot, which keeps
 //   lookups deterministic for the lifetime of a session). flock is
 //   per-open-file-description, so the store reopens its descriptor after
 //   a fork: a sandbox worker's appends lock and land independently of its
@@ -120,7 +122,7 @@ struct StoreStats {
   std::int64_t dropped = 0;    ///< corrupt/torn lines skipped at open
   std::int64_t hits = 0;       ///< lookups answered
   std::int64_t misses = 0;     ///< lookups not answered
-  std::int64_t appends = 0;    ///< records appended by this session
+  std::int64_t appends = 0;    ///< records this session appended to the file
 };
 
 class ResultStore {
@@ -184,7 +186,7 @@ class ResultStore {
   ResultStore() = default;
   void load(int fd);
   bool absorb(StoreRecord record);        ///< index insert/upgrade (mutex_ held)
-  void append_line(std::string line);     ///< flock + single write
+  bool append_line(std::string line);     ///< flock + journal_append_line
   int writable_fd();                      ///< lazy open; reopens after fork
 
   std::string path_;

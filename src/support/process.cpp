@@ -49,6 +49,19 @@ void SelfPipe::drain() noexcept {
   }
 }
 
+bool write_all(int fd, const char* data, std::size_t len,
+               std::size_t* written) noexcept {
+  std::size_t sent = 0;
+  while (sent < len) {
+    const ssize_t n = ::write(fd, data + sent, len - sent);
+    if (n < 0 && errno == EINTR) continue;
+    if (n < 0) break;
+    sent += static_cast<std::size_t>(n);
+  }
+  if (written != nullptr) *written = sent;
+  return sent == len;
+}
+
 std::atomic<pid_t> ChildRegistry::slots_[ChildRegistry::kCapacity] = {};
 
 bool ChildRegistry::add(pid_t pid) noexcept {

@@ -1,7 +1,7 @@
 // Async-signal-safe process plumbing for the evaluation sandbox.
 //
-// Two tiny primitives that the out-of-process sandbox and the CLI signal
-// handlers share:
+// Small primitives that the out-of-process sandbox, the CLI signal
+// handlers and the durable files share:
 //
 //  - SelfPipe: the classic self-pipe trick. A signal handler (SIGCHLD in
 //    the sandbox, SIGINT in jat_tune) writes one byte to a non-blocking
@@ -15,7 +15,11 @@
 //    press: hard exit) to all of them without taking a lock. kill(2) is
 //    async-signal-safe, so the whole broadcast may run inside a handler.
 //
-// Both are deliberately free of malloc, mutexes, and iostreams: everything
+//  - write_all: the one write(2) loop. The sandbox's pipe frames and the
+//    journal's and result store's appends (harness/journal.hpp) all go
+//    through it.
+//
+// All are deliberately free of malloc, mutexes, and iostreams: everything
 // a signal handler touches must be reentrant.
 #pragma once
 
@@ -76,6 +80,13 @@ class ChildRegistry {
  private:
   static std::atomic<pid_t> slots_[kCapacity];
 };
+
+/// Writes all `len` bytes of `data` to `fd`: short writes continue and
+/// EINTR retries. Returns false, with errno set, when a write fails;
+/// `written`, when given, reports the bytes that reached `fd` before it did.
+/// Async-signal-safe.
+bool write_all(int fd, const char* data, std::size_t len,
+               std::size_t* written = nullptr) noexcept;
 
 /// Installs (once) a SIGCHLD handler that pokes the returned SelfPipe and
 /// leaves reaping to whoever owns the child — the sandbox waitpid()s its

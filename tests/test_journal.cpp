@@ -23,6 +23,7 @@
 #include <vector>
 
 #include "determinism_matrix.hpp"
+#include "file_size_limit.hpp"
 #include "harness/budget.hpp"
 #include "harness/fault.hpp"
 #include "harness/objective.hpp"
@@ -694,6 +695,85 @@ INSTANTIATE_TEST_SUITE_P(
              std::to_string(info.param.eval_threads);
     });
 
+// ---- write failures, by enumeration -----------------------------------------
+
+// Every record of a reference session (the golden session's shape) fails
+// to append three ways, under a file-size limit at its first byte, at its
+// middle and at its newline. The session must stop with a JournalError
+// naming the file; the failed append must be cut back, leaving exactly the
+// records before it; and resuming that journal must reproduce the
+// uninterrupted outcome row for row, budget position included.
+TEST_F(JournalFormat, EveryFailedAppendIsCutBackAndResumesBitIdentically) {
+  const WorkloadSpec& workload = find_workload("startup.serial");
+  SessionOptions options;
+  options.budget = SimTime::minutes(20);
+  options.seed = 7;
+  const auto run = [&](const std::string& path) {
+    SessionJournal journal = SessionJournal::create(path);
+    SessionOptions journaled = options;
+    journaled.journal = &journal;
+    HierarchicalTuner tuner;
+    return TuningSession(JvmSimulator(), workload, journaled).run(tuner);
+  };
+  const TuningOutcome reference = run(temp_path("enum_reference.jsonl"));
+  const std::string full = slurp(temp_path("enum_reference.jsonl"));
+  std::vector<std::size_t> starts = {0};  // each record's first byte
+  for (std::size_t nl = full.find('\n'); nl != std::string::npos;
+       nl = full.find('\n', nl + 1)) {
+    starts.push_back(nl + 1);
+  }
+  ASSERT_EQ(starts.size(), 73u);  // meta, 70 evaluations, end; then EOF
+
+  const std::string path = temp_path("enum_cut.jsonl");
+  for (std::size_t r = 0; r + 1 < starts.size(); ++r) {
+    const std::size_t newline = starts[r + 1] - 1;
+    for (const std::size_t limit :
+         {starts[r], (starts[r] + newline) / 2, newline}) {
+      SCOPED_TRACE("record " + std::to_string(r) + ", limit " +
+                   std::to_string(limit));
+      try {
+        const FileSizeLimit guard(limit);
+        (void)run(path);
+        ADD_FAILURE() << "the append past the limit did not fail";
+      } catch (const JournalError& error) {
+        EXPECT_NE(std::string(error.what()).find("'" + path + "'"),
+                  std::string::npos)
+            << error.what();
+      }
+      EXPECT_EQ(slurp(path), full.substr(0, starts[r]));
+      if (r == 0) {
+        try {
+          (void)SessionJournal::resume(path);
+          ADD_FAILURE() << "an empty journal resumed";
+        } catch (const JournalError& error) {
+          EXPECT_NE(std::string(error.what())
+                        .find("holds no valid metadata record"),
+                    std::string::npos)
+              << error.what();
+        }
+        continue;
+      }
+      SessionJournal journal = SessionJournal::resume(path);
+      EXPECT_EQ(journal.dropped_records(), 0u);
+      HierarchicalTuner tuner;
+      const TuningOutcome resumed =
+          TuningSession(JvmSimulator(), workload, options)
+              .resume(journal, tuner);
+      EXPECT_EQ(reference.best_config.fingerprint(),
+                resumed.best_config.fingerprint());
+      EXPECT_EQ(reference.best_ms, resumed.best_ms);
+      ASSERT_EQ(reference.db->size(), resumed.db->size());
+      for (std::size_t i = 0; i < reference.db->size(); ++i) {
+        const EvalRecord want = reference.db->get(i);
+        const EvalRecord got = resumed.db->get(i);
+        EXPECT_EQ(want.fingerprint, got.fingerprint) << "row " << i;
+        EXPECT_EQ(want.objective_ms, got.objective_ms) << "row " << i;
+        EXPECT_EQ(want.budget_spent, got.budget_spent) << "row " << i;
+      }
+    }
+  }
+}
+
 // ---- cooperative cancellation -----------------------------------------------
 
 /// Wraps a strategy and cancels the shared token after N tells — the test
@@ -795,7 +875,7 @@ TEST_F(Cancellation, TokenIsAsyncSignalSafeShaped) {
 TEST(DeadlineBudgetTest, CapsChargesAtTheDeadlineAndCancels) {
   BudgetClock parent(SimTime::seconds(100));
   CancellationToken token;
-  DeadlineBudget deadline(&parent, SimTime::seconds(10), &token);
+  MeteredBudget deadline(&parent, SimTime::seconds(10), &token);
 
   deadline.charge(SimTime::seconds(4));
   EXPECT_EQ(parent.spent(), SimTime::seconds(4));
@@ -818,7 +898,7 @@ TEST(DeadlineBudgetTest, CapsChargesAtTheDeadlineAndCancels) {
 
 TEST(DeadlineBudgetTest, ExhaustionFollowsTheParentToo) {
   BudgetClock parent(SimTime::seconds(5));
-  DeadlineBudget deadline(&parent, SimTime::seconds(100));
+  MeteredBudget deadline(&parent, SimTime::seconds(100));
   EXPECT_FALSE(deadline.exhausted());
   parent.charge(SimTime::seconds(5));
   EXPECT_TRUE(deadline.exhausted());  // parent expired, deadline not tripped

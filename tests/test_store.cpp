@@ -27,6 +27,7 @@
 #include <unistd.h>
 
 #include "determinism_matrix.hpp"
+#include "file_size_limit.hpp"
 #include "flags/parse.hpp"
 #include "harness/budget.hpp"
 #include "harness/journal.hpp"
@@ -300,6 +301,37 @@ TEST_F(StoreTest, ConcurrentHandlesInterleaveAppendsWithoutTearing) {
   auto merged = ResultStore::open(dir, {.read_only = true});
   EXPECT_EQ(merged->stats().records, 2 * kPerHandle);
   EXPECT_EQ(merged->stats().dropped, 0);
+}
+
+// One handle's append fails partway (a real partial write, past a lowered
+// file-size limit). The failed append is cut back under the lock, so the
+// record another handle appends next starts a line of its own instead of
+// joining the partial one and failing its checksum.
+TEST_F(StoreTest, FailedAppendNeverSwallowsAnotherHandlesRecord) {
+  const StoreRecord failing = make_record(1, 2, 20, 200.0);
+  const std::string probe = temp_dir("failed_append_probe");
+  ResultStore::open(probe)->put(failing);
+  const std::size_t line_size = slurp(probe + "/store.jsonl").size();
+
+  const std::string dir = temp_dir("failed_append");
+  const std::string path = dir + "/store.jsonl";
+  auto a = ResultStore::open(dir);
+  auto b = ResultStore::open(dir);
+  a->put(make_record(1, 2, 10, 100.0));
+  {
+    const FileSizeLimit limit(slurp(path).size() + line_size / 2);
+    b->put(failing);
+  }
+  EXPECT_EQ(b->stats().appends, 0);  // only appends that reached the file
+  a->put(make_record(1, 2, 11, 110.0));
+  a.reset();
+  b.reset();
+
+  auto reopened = ResultStore::open(dir, {.read_only = true});
+  EXPECT_EQ(reopened->stats().dropped, 0);
+  EXPECT_EQ(reopened->stats().records, 2);
+  EXPECT_NE(reopened->lookup({1, 2, 10, "run_time"}), nullptr);
+  EXPECT_NE(reopened->lookup({1, 2, 11, "run_time"}), nullptr);
 }
 
 // ---------------------------------------------------------------------------
