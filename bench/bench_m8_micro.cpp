@@ -9,6 +9,7 @@
 
 #include <chrono>
 #include <cstdio>
+#include <utility>
 #include <vector>
 
 #include "bench_common.hpp"
@@ -47,29 +48,44 @@ void BM_SimulateDacapoRun(benchmark::State& state) {
 }
 BENCHMARK(BM_SimulateDacapoRun);
 
-void BM_SimulateTunedRuns(benchmark::State& state) {
-  // What a tuning session simulates: a fixed, seeded corpus of tuned
-  // configurations (random_config at densities 0.05/0.15/0.3, four per
-  // program) over all 16 SPECjvm2008 startup and 13 DaCapo programs, one
-  // run per iteration in corpus order. Parameters are decoded up front, as
-  // the runner does once per measurement, so only the simulator is timed.
-  JvmSimulator sim;
+/// What a tuning session measures: a fixed, seeded corpus of tuned
+/// configurations (random_config at densities 0.05/0.15/0.3, four per
+/// program) over all 16 SPECjvm2008 startup and 13 DaCapo programs, keeping
+/// the startable ones.
+struct TunedConfig {
+  const WorkloadSpec* workload;
+  Configuration config;
+};
+
+std::vector<TunedConfig> tuned_corpus() {
   const SearchSpace space(FlagHierarchy::hotspot());
   Rng rng(2015);
   constexpr double kDensities[] = {0.05, 0.15, 0.3};
+  std::vector<TunedConfig> corpus;
+  for (const auto* suite : {&specjvm2008_startup(), &dacapo()}) {
+    for (const WorkloadSpec& w : *suite) {
+      for (int i = 0; i < 4; ++i) {
+        Configuration config = space.random_config(rng, kDensities[i % 3]);
+        if (!first_fatal(config).empty()) continue;  // startable by construction
+        corpus.push_back({&w, std::move(config)});
+      }
+    }
+  }
+  return corpus;
+}
+
+void BM_SimulateTunedRuns(benchmark::State& state) {
+  // The simulator alone over the tuned corpus, one run per iteration in
+  // corpus order. Parameters are decoded up front, as the runner does once
+  // per measurement.
+  JvmSimulator sim;
   struct Item {
     const WorkloadSpec* workload;
     JvmParams params;
   };
   std::vector<Item> corpus;
-  for (const auto* suite : {&specjvm2008_startup(), &dacapo()}) {
-    for (const WorkloadSpec& w : *suite) {
-      for (int i = 0; i < 4; ++i) {
-        const Configuration config = space.random_config(rng, kDensities[i % 3]);
-        if (!first_fatal(config).empty()) continue;  // startable by construction
-        corpus.push_back({&w, decode_params(config)});
-      }
-    }
+  for (const TunedConfig& tuned : tuned_corpus()) {
+    corpus.push_back({tuned.workload, decode_params(tuned.config)});
   }
   std::size_t next = 0;
   std::uint64_t seed = 0;
@@ -79,6 +95,24 @@ void BM_SimulateTunedRuns(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SimulateTunedRuns);
+
+void BM_MeasureTunedConfigurations(benchmark::State& state) {
+  // One uncached measurement per iteration, in corpus order: a fresh runner
+  // (empty cache, no budget) measures a tuned configuration with three
+  // repetitions, so the start check, decode, fingerprint, simulation and
+  // per-repetition bookkeeping are all timed.
+  JvmSimulator sim;
+  const std::vector<TunedConfig> corpus = tuned_corpus();
+  RunnerOptions options;
+  options.repetitions = 3;
+  std::size_t next = 0;
+  for (auto _ : state) {
+    const TunedConfig& item = corpus[next++ % corpus.size()];
+    BenchmarkRunner runner(sim, *item.workload, options);
+    benchmark::DoNotOptimize(runner.measure(item.config));
+  }
+}
+BENCHMARK(BM_MeasureTunedConfigurations);
 
 void BM_SimulateRunPerCollector(benchmark::State& state) {
   JvmSimulator sim;

@@ -27,6 +27,7 @@ FaultStats& FaultStats::operator-=(const FaultStats& other) {
 
 EvalCounters& EvalCounters::operator+=(const EvalCounters& other) {
   runs += other.runs;
+  simulations += other.simulations;
   cache_hits += other.cache_hits;
   store_hits += other.store_hits;
   store_appends += other.store_appends;
@@ -36,6 +37,7 @@ EvalCounters& EvalCounters::operator+=(const EvalCounters& other) {
 
 EvalCounters& EvalCounters::operator-=(const EvalCounters& other) {
   runs -= other.runs;
+  simulations -= other.simulations;
   cache_hits -= other.cache_hits;
   store_hits -= other.store_hits;
   store_appends -= other.store_appends;

@@ -71,7 +71,8 @@ void for_each_fault_counter(Visit&& visit, Stats&... stats) {
 /// layer reports its own events plus those of the layer it wraps, so
 /// reading the top of a stack reads the whole stack.
 struct EvalCounters {
-  std::int64_t runs = 0;           ///< simulated JVM launches
+  std::int64_t runs = 0;           ///< simulated JVM launches, one a repetition
+  std::int64_t simulations = 0;    ///< trajectories simulated for those runs
   std::int64_t cache_hits = 0;     ///< answers from a runner's result cache
   std::int64_t store_hits = 0;     ///< misses answered by the result store
   std::int64_t store_appends = 0;  ///< measurements published to the store

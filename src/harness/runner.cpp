@@ -36,6 +36,7 @@ void BenchmarkRunner::merge_racing_floor_ms(double first_ms) {
 EvalCounters BenchmarkRunner::counters() const {
   std::lock_guard lock(mutex_);
   return EvalCounters{.runs = runs_executed_,
+                      .simulations = simulations_,
                       .cache_hits = cache_hits_,
                       .store_hits = store_hits_,
                       .store_appends = store_appends_,
@@ -277,11 +278,13 @@ Measurement BenchmarkRunner::measure_uncached(const Configuration& config,
   const MeasurementPolicy policy(options_.policy, hints.incumbent);
   StopReason stop = StopReason::kFull;
 
-  // The start check and the decode depend on the configuration alone, so
-  // each repetition equals JvmSimulator::run(config, workload_, seed).
+  // The start check, the decode and the simulated trajectory depend on the
+  // configuration alone; only the noise depends on the seed. So the loop
+  // simulates once, at its first repetition, and each repetition is a copy
+  // of that trajectory with its own seed's noise, which equals
+  // JvmSimulator::run(config, workload_, seed) bit for bit.
   const std::string fatal = first_fatal(config);
-  std::optional<JvmParams> params;
-  if (fatal.empty()) params = decode_params(config);
+  std::optional<Trajectory> trajectory;
 
   for (int rep = start_rep; rep < planned; ++rep) {
     // Cooperative cancellation stops after the current repetition, never
@@ -292,11 +295,16 @@ Measurement BenchmarkRunner::measure_uncached(const Configuration& config,
     }
     const std::uint64_t seed =
         mix64(options_.seed, mix64(fingerprint, static_cast<std::uint64_t>(rep)));
-    RunResult run = params ? simulator_->run(*params, workload_, seed)
-                           : refused_start(fatal);
+    const bool simulating = fatal.empty() && !trajectory;
+    if (simulating) {
+      trajectory = simulator_->simulate(decode_params(config), workload_);
+    }
+    RunResult run = trajectory ? noised(*trajectory, workload_, seed)
+                               : refused_start(fatal);
     {
       std::lock_guard lock(mutex_);
       ++runs_executed_;
+      if (simulating) ++simulations_;
     }
     if (!run.crashed && run.total_time > time_limit_) {
       run.crashed = true;

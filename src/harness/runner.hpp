@@ -140,7 +140,8 @@ class BenchmarkRunner : public Evaluator {
   /// member measurements are not journaled).
   void reseed_cache(const Configuration& config);
 
-  /// Simulated JVM runs (cache misses only), cache hits, cache misses
+  /// Simulated JVM runs (cache misses only), the trajectories simulated
+  /// for them (at most one per measurement), cache hits, cache misses
   /// answered by the cross-session store (zero budget), complete
   /// measurements written behind to it, and rep-level failures: timeouts
   /// and crashes absorbed into measurements, and how many partially-failed
@@ -160,8 +161,10 @@ class BenchmarkRunner : public Evaluator {
   };
 
   /// Runs the repetition loop for `config`, whose fingerprint measure()
-  /// already computed. The start check and the parameter decode run once,
-  /// before the loop; every repetition simulates the decoded parameters.
+  /// already computed. The start check runs once, before the loop; the
+  /// decode and the simulation run once, at the first repetition of a
+  /// startable configuration, and every repetition noises a copy of that
+  /// one trajectory with its own seed.
   /// `base` (may be null) is a previous partial measurement to continue
   /// from: repetitions resume at its count, so the merged result is
   /// bit-identical to a from-scratch full measurement.
@@ -190,6 +193,7 @@ class BenchmarkRunner : public Evaluator {
   std::unordered_map<std::uint64_t, Measurement> cache_;
   std::unordered_map<std::uint64_t, std::shared_ptr<InFlight>> in_flight_;
   std::int64_t runs_executed_ = 0;
+  std::int64_t simulations_ = 0;
   std::int64_t cache_hits_ = 0;
   std::int64_t store_hits_ = 0;
   std::int64_t store_appends_ = 0;

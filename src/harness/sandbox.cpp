@@ -7,6 +7,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cstring>
@@ -200,6 +201,7 @@ std::string encode_reply(const Reply& reply) {
   append_i64(p, reply.failed_reps);
   append_i64(p, reply.cost_us);
   append_i64(p, reply.delta.runs);
+  append_i64(p, reply.delta.simulations);
   append_i64(p, reply.delta.cache_hits);
   append_i64(p, reply.delta.store_hits);
   append_i64(p, reply.delta.store_appends);
@@ -228,6 +230,7 @@ bool decode_reply(const std::string& payload, Reply& reply) {
   reply.failed_reps = static_cast<std::int32_t>(r.i64());
   reply.cost_us = r.i64();
   reply.delta.runs = r.i64();
+  reply.delta.simulations = r.i64();
   reply.delta.cache_hits = r.i64();
   reply.delta.store_hits = r.i64();
   reply.delta.store_appends = r.i64();
@@ -367,6 +370,19 @@ bool injection_draw(std::uint64_t seed, std::uint64_t fingerprint,
   return rng.chance(rate);
 }
 
+/// Closes every descriptor from 3 up except `keep_a` and `keep_b`, with one
+/// close_range(2) call per gap between them. False when a call fails.
+bool close_descriptors_except(int keep_a, int keep_b) {
+  unsigned first = 3;
+  for (const int keep : {std::min(keep_a, keep_b), std::max(keep_a, keep_b)}) {
+    if (keep < static_cast<int>(first)) continue;  // stdio, or a repeat
+    const unsigned kept = static_cast<unsigned>(keep);
+    if (kept > first && ::close_range(first, kept - 1, 0) != 0) return false;
+    first = kept + 1;
+  }
+  return ::close_range(first, ~0U, 0) == 0;
+}
+
 bool in_list(const std::vector<std::uint64_t>& list, std::uint64_t fp) {
   for (const std::uint64_t v : list) {
     if (v == fp) return true;
@@ -467,11 +483,15 @@ void SandboxedEvaluator::spawn(Worker& worker) {
   // Drop every descriptor the parent was holding — sibling pipes (so a
   // sibling's EOF is seen the moment it dies), journal, trace, result-db
   // files. Only our two pipe ends and stdio survive.
-  long max_fd = ::sysconf(_SC_OPEN_MAX);
-  if (max_fd < 64) max_fd = 64;
-  if (max_fd > 4096) max_fd = 4096;
-  for (int fd = 3; fd < static_cast<int>(max_fd); ++fd) {
-    if (fd != request_fd && fd != reply_fd) ::close(fd);
+  if (!close_descriptors_except(request_fd, reply_fd)) {
+    // close_range(2) is missing (kernel before 5.9): close one by one, up
+    // to a bounded descriptor limit.
+    long max_fd = ::sysconf(_SC_OPEN_MAX);
+    if (max_fd < 64) max_fd = 64;
+    if (max_fd > 4096) max_fd = 4096;
+    for (int fd = 3; fd < static_cast<int>(max_fd); ++fd) {
+      if (fd != request_fd && fd != reply_fd) ::close(fd);
+    }
   }
 
   // Signals: the terminal delivers Ctrl-C to the whole foreground process

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "flags/validate.hpp"
 #include "jvmsim/gc_model.hpp"
@@ -66,13 +67,18 @@ RunResult JvmSimulator::run(const Configuration& config,
 
 RunResult JvmSimulator::run(const JvmParams& params, const WorkloadSpec& workload,
                             std::uint64_t seed) const {
+  return noised(simulate(params, workload), workload, seed);
+}
+
+Trajectory JvmSimulator::simulate(const JvmParams& params,
+                                  const WorkloadSpec& workload) const {
   const auto problems = workload.problems();
   if (!problems.empty()) {
     throw SimError("invalid workload " + workload.name + ": " + problems.front());
   }
 
-  Rng rng(mix64(seed, fnv1a64(workload.name)));
-  RunResult result;
+  Trajectory trajectory;
+  RunResult& result = trajectory.result;
   std::shared_ptr<RunTrace> trace;
   if (options_.collect_trace) {
     trace = std::make_shared<RunTrace>();
@@ -100,7 +106,8 @@ RunResult JvmSimulator::run(const JvmParams& params, const WorkloadSpec& workloa
     result.crashed = true;
     result.crash_reason = "OutOfMemoryError: Metaspace";
     result.total_time = SimTime::seconds(2.0);
-    return result;
+    trajectory.takes_noise = false;
+    return trajectory;
   }
 
   // ---- startup: class loading, CDS, verification, pretouch ------------------
@@ -303,12 +310,21 @@ RunResult JvmSimulator::run(const JvmParams& params, const WorkloadSpec& workloa
   result.code_cache_flushes = jit.flush_count();
   result.peak_heap_used = static_cast<std::int64_t>(heap.peak_used());
   if (!st.startup_recorded) result.startup_time = st.now;
+  result.total_time = st.now;
+  return trajectory;
+}
 
-  // Run-to-run measurement noise.
-  const double noise = rng.lognormal_median(1.0, workload.noise_sigma);
-  result.total_time = st.now * noise;
-  result.startup_time = result.startup_time * noise;
-  return result;
+RunResult noised(Trajectory trajectory, const WorkloadSpec& workload,
+                 std::uint64_t seed) {
+  RunResult& result = trajectory.result;
+  if (trajectory.takes_noise) {
+    // Run-to-run measurement noise: the only draw a run makes.
+    Rng rng(mix64(seed, fnv1a64(workload.name)));
+    const double noise = rng.lognormal_median(1.0, workload.noise_sigma);
+    result.total_time = result.total_time * noise;
+    result.startup_time = result.startup_time * noise;
+  }
+  return std::move(result);
 }
 
 }  // namespace jat

@@ -399,6 +399,7 @@ TuningOutcome run_session(const SessionOptions& options, const JournalMeta& meta
                         .best_ms = validated.best_ms,
                         .evaluations = static_cast<std::int64_t>(db->size()),
                         .runs = counters.runs,
+                        .simulations = counters.simulations,
                         .cache_hits = counters.cache_hits,
                         .store_hits = counters.store_hits,
                         .store_appends = counters.store_appends,
@@ -703,6 +704,7 @@ SuiteOutcome SuiteTuningSession::run_internal(SearchStrategy& strategy,
                       .per_workload_improvement = std::move(improvements),
                       .workload_names = std::move(names),
                       .evaluations = outcome.evaluations,
+                      .simulations = outcome.simulations,
                       .store_hits = outcome.store_hits,
                       .store_appends = outcome.store_appends,
                       .warm_seeds = outcome.warm_seeds,

@@ -136,6 +136,9 @@ struct TuningOutcome {
 
   std::int64_t evaluations = 0;  ///< configurations measured (incl. cached)
   std::int64_t runs = 0;         ///< simulated JVM launches
+  /// Trajectories the simulator computed for those runs: at most one per
+  /// uncached measurement, since repetitions share one trajectory.
+  std::int64_t simulations = 0;
   std::int64_t cache_hits = 0;
   /// Cross-session store activity: misses answered from the store (zero
   /// budget), records published to it, and warm-start seeds replayed.

@@ -81,6 +81,8 @@ struct SuiteOutcome {
   std::vector<double> per_workload_improvement;
   std::vector<std::string> workload_names;
   std::int64_t evaluations = 0;
+  /// Trajectories the member runners simulated (see TuningOutcome).
+  std::int64_t simulations = 0;
   /// Cross-session store activity summed over the member runners, plus the
   /// warm-start seeds replayed and the nonzero-cost commits (see
   /// TuningOutcome for the field semantics).

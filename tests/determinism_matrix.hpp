@@ -9,7 +9,8 @@
 // trajectory) and the helper asserts the full contract for every cell:
 //
 //   - incumbent fingerprint, validated default/best objectives
-//   - evaluation, run, cache-hit, store-hit and charged-evaluation counters
+//   - evaluation, run, simulation, cache-hit, store-hit and
+//     charged-evaluation counters
 //   - the ResultDb log row for row: fingerprint, objective, phase,
 //     attempts, stop reason
 //   - budget positions, only between cells with identical eval_threads
@@ -77,6 +78,7 @@ inline void expect_identical_outcome(const TuningOutcome& reference,
   EXPECT_EQ(got.best_ms, reference.best_ms) << label;
   EXPECT_EQ(got.evaluations, reference.evaluations) << label;
   EXPECT_EQ(got.runs, reference.runs) << label;
+  EXPECT_EQ(got.simulations, reference.simulations) << label;
   EXPECT_EQ(got.cache_hits, reference.cache_hits) << label;
   EXPECT_EQ(got.store_hits, reference.store_hits) << label;
   EXPECT_EQ(got.warm_seeds, reference.warm_seeds) << label;
@@ -176,6 +178,7 @@ inline void expect_identical_outcome(const SuiteOutcome& reference,
       << label;
   EXPECT_EQ(got.workload_names, reference.workload_names) << label;
   EXPECT_EQ(got.evaluations, reference.evaluations) << label;
+  EXPECT_EQ(got.simulations, reference.simulations) << label;
   EXPECT_EQ(got.store_hits, reference.store_hits) << label;
   EXPECT_EQ(got.store_appends, reference.store_appends) << label;
   EXPECT_EQ(got.warm_seeds, reference.warm_seeds) << label;

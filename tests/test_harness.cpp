@@ -10,8 +10,10 @@
 #include "harness/budget.hpp"
 #include "harness/result_db.hpp"
 #include "harness/runner.hpp"
+#include "support/rng.hpp"
 #include "support/table.hpp"
 #include "support/thread_pool.hpp"
+#include "support/units.hpp"
 #include "workloads/suites.hpp"
 
 namespace jat {
@@ -348,6 +350,11 @@ TEST_F(RunnerTest, PartialCrashSalvagesValidRepetitions) {
   EXPECT_TRUE(std::isfinite(m.objective()));
   EXPECT_EQ(strict.counters().faults.timeouts, 2);
   EXPECT_EQ(strict.counters().faults.salvaged, 1);
+  // All five repetitions noise one trajectory: the limit cut two of them
+  // through their noise alone, and the cut left the trajectory intact for
+  // the repetitions after it.
+  EXPECT_EQ(strict.counters().runs, 5);
+  EXPECT_EQ(strict.counters().simulations, 1);
 }
 
 TEST_F(RunnerTest, AllRepetitionsFailedStillReportsCrash) {
@@ -360,6 +367,41 @@ TEST_F(RunnerTest, AllRepetitionsFailedStillReportsCrash) {
   EXPECT_EQ(m.fault, FaultClass::kDeterministic);
   EXPECT_EQ(m.failed_reps, 3);
   EXPECT_FALSE(m.crash_reason.empty());
+  // Three refused starts, none of them simulated.
+  EXPECT_EQ(runner.counters().runs, 3);
+  EXPECT_EQ(runner.counters().simulations, 0);
+}
+
+TEST_F(RunnerTest, MetaspaceOomRepetitionsTakeNoNoise) {
+  // The early Metaspace OutOfMemoryError reports exactly two seconds at
+  // every seed: each repetition of its one simulated trajectory equals the
+  // direct run, with no noise although the workload is noisy.
+  WorkloadSpec w = tiny_workload();
+  w.startup_classes = 20000;
+  config_.set_int("MaxMetaspaceSize", 16 * kMiB);
+  RunnerOptions options;
+  options.fail_fast = false;
+  BenchmarkRunner runner(sim_, w, options);
+  BudgetClock budget(SimTime::minutes(10));
+  const Measurement m = runner.measure(config_, &budget);
+  EXPECT_TRUE(m.crashed);
+  EXPECT_EQ(m.crash_reason, "OutOfMemoryError: Metaspace");
+  EXPECT_EQ(m.fault, FaultClass::kDeterministic);
+  EXPECT_EQ(m.failed_reps, 3);
+  EXPECT_EQ(runner.counters().runs, 3);
+  EXPECT_EQ(runner.counters().simulations, 1);
+
+  SimTime direct_charges;
+  for (std::uint64_t rep = 0; rep < 3; ++rep) {
+    const RunResult direct =
+        sim_.run(config_, w,
+                 mix64(options.seed, mix64(config_.fingerprint(), rep)));
+    EXPECT_EQ(direct.crash_reason, m.crash_reason) << "rep " << rep;
+    EXPECT_EQ(direct.total_time, SimTime::seconds(2.0)) << "rep " << rep;
+    direct_charges +=
+        direct.total_time + SimTime::seconds(options.per_run_overhead_s);
+  }
+  EXPECT_EQ(budget.spent(), direct_charges);
 }
 
 }  // namespace

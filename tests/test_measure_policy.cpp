@@ -153,7 +153,8 @@ IncumbentSnapshot snapshot_of(const Measurement& m) {
 
 /// Every repetition of `m` must equal a direct JvmSimulator::run of
 /// `config` at the runner's per-repetition seed, bit for bit: the runner
-/// decodes a configuration once per measurement, and that must not show.
+/// decodes and simulates a configuration once per measurement, and that
+/// must not show.
 void expect_reps_equal_direct_runs(const JvmSimulator& sim,
                                    const BenchmarkRunner& runner,
                                    const Configuration& config,
@@ -262,14 +263,16 @@ TEST_F(MeasurePolicyRunnerTest, TopUpMergeIsBitIdenticalToFromScratch) {
   ASSERT_LT(partial_reps, 8u);
 
   // Top it up (no incumbent: the continuation runs to the cap).
+  const std::int64_t simulations_before_topup = runner.counters().simulations;
   EvalHints topup;
   topup.top_up = true;
   const Measurement merged = runner.measure(slow(), nullptr, topup);
   ASSERT_TRUE(merged.valid());
   EXPECT_EQ(merged.stop, StopReason::kFull);
   ASSERT_EQ(merged.times_ms.size(), 8u);
-  // Only the missing repetitions were executed.
+  // Only the missing repetitions were executed, from one new trajectory.
   EXPECT_EQ(runner.counters().runs - runs_after_base, 8);
+  EXPECT_EQ(runner.counters().simulations - simulations_before_topup, 1);
 
   // A fresh runner measuring from scratch produces the same repetitions
   // bit for bit: seed continuity makes the merge invisible.
@@ -285,6 +288,7 @@ TEST_F(MeasurePolicyRunnerTest, TopUpMergeIsBitIdenticalToFromScratch) {
   const Measurement again = runner.measure(slow());
   EXPECT_EQ(again.times_ms, merged.times_ms);
   EXPECT_EQ(runner.counters().runs - runs_after_base, 8);
+  EXPECT_EQ(runner.counters().simulations - simulations_before_topup, 1);
 }
 
 TEST_F(MeasurePolicyRunnerTest, DecodeOnceMatchesDirectRunsOnStartableConfig) {
@@ -295,6 +299,9 @@ TEST_F(MeasurePolicyRunnerTest, DecodeOnceMatchesDirectRunsOnStartableConfig) {
     ASSERT_EQ(m.times_ms.size(), 3u);
     expect_reps_equal_direct_runs(sim_, runner, config, m);
   }
+  // Three repetitions of each configuration, one trajectory each.
+  EXPECT_EQ(runner.counters().runs, 6);
+  EXPECT_EQ(runner.counters().simulations, 2);
 }
 
 TEST_F(MeasurePolicyRunnerTest, DecodeOnceKeepsTheRefusedStartResult) {
@@ -316,6 +323,9 @@ TEST_F(MeasurePolicyRunnerTest, DecodeOnceKeepsTheRefusedStartResult) {
   EXPECT_EQ(budget.spent(),
             direct.total_time +
                 SimTime::seconds(runner.runner_options().per_run_overhead_s));
+  // A refused start is charged as a run but never simulated.
+  EXPECT_EQ(runner.counters().runs, 1);
+  EXPECT_EQ(runner.counters().simulations, 0);
 }
 
 TEST_F(MeasurePolicyRunnerTest, DecodeOnceMatchesDirectRunsAcrossTopUp) {
@@ -330,13 +340,16 @@ TEST_F(MeasurePolicyRunnerTest, DecodeOnceMatchesDirectRunsAcrossTopUp) {
   ASSERT_EQ(partial.stop, StopReason::kRacedOut);
   expect_reps_equal_direct_runs(sim_, runner, slow(), partial);
 
-  // The continuation decodes again and resumes at the absolute repetition
-  // index: every merged repetition is still the direct run.
+  // The continuation decodes and simulates again and resumes at the
+  // absolute repetition index: every merged repetition is still the direct
+  // run.
+  const std::int64_t simulations_before_topup = runner.counters().simulations;
   EvalHints topup;
   topup.top_up = true;
   const Measurement merged = runner.measure(slow(), nullptr, topup);
   ASSERT_EQ(merged.times_ms.size(), 8u);
   expect_reps_equal_direct_runs(sim_, runner, slow(), merged);
+  EXPECT_EQ(runner.counters().simulations - simulations_before_topup, 1);
 }
 
 TEST_F(MeasurePolicyRunnerTest, TopUpLeavesConvergedMeasurementsAlone) {

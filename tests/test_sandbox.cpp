@@ -6,6 +6,9 @@
 // Kept out of the TSan suite (fork + TSan is undefined territory); names
 // deliberately avoid the TSan job's -R filter substrings.
 #include <gtest/gtest.h>
+#include <poll.h>
+#include <sys/resource.h>
+#include <unistd.h>
 
 #include <cmath>
 #include <string>
@@ -76,6 +79,9 @@ TEST_F(SandboxTest, RoundTripMatchesInProcessBitForBit) {
   // The shadow budget's exact metered cost came back as int64 micros.
   EXPECT_EQ(budget.spent(), reference_budget.spent());
   EXPECT_EQ(sandbox.counters().runs, reference.counters().runs);
+  // The worker's trajectory count crosses the pipe with its runs.
+  EXPECT_EQ(sandbox.counters().simulations, 1);
+  EXPECT_EQ(sandbox.counters().simulations, reference.counters().simulations);
   sandbox.shutdown();
 }
 
@@ -100,6 +106,49 @@ TEST_F(SandboxTest, RepeatFingerprintsHitTheWorkerCache) {
   EXPECT_EQ(sandbox.counters().cache_hits, 1);
   EXPECT_EQ(sandbox.counters().runs, 3);  // simulated once, not twice
   sandbox.shutdown();
+}
+
+TEST_F(SandboxTest, WorkersInheritNoHighNumberedDescriptor) {
+  // A worker that keeps a copy of a pipe's write end hides the hangup from
+  // the pipe's reader for as long as the worker lives. Put the write end
+  // above 4096, let the sandbox fork its workers, close the parent's copy:
+  // the reader must see the hangup at once.
+  constexpr int kHighFd = 4200;
+  struct LimitGuard {
+    struct rlimit saved = {};
+    ~LimitGuard() { ::setrlimit(RLIMIT_NOFILE, &saved); }
+  } guard;
+  ASSERT_EQ(::getrlimit(RLIMIT_NOFILE, &guard.saved), 0);
+  if (guard.saved.rlim_cur != RLIM_INFINITY && guard.saved.rlim_cur <= kHighFd) {
+    if (guard.saved.rlim_max != RLIM_INFINITY &&
+        guard.saved.rlim_max <= kHighFd) {
+      GTEST_SKIP() << "hard RLIMIT_NOFILE " << guard.saved.rlim_max
+                   << " leaves no room for descriptor " << kHighFd;
+    }
+    struct rlimit raised = guard.saved;
+    raised.rlim_cur = kHighFd + 1;
+    ASSERT_EQ(::setrlimit(RLIMIT_NOFILE, &raised), 0);
+  }
+  int fds[2] = {-1, -1};
+  ASSERT_EQ(::pipe(fds), 0);
+  ASSERT_EQ(::dup2(fds[1], kHighFd), kHighFd);
+  ::close(fds[1]);
+
+  BenchmarkRunner runner(sim_, workload_);
+  SandboxOptions options;
+  options.workers = 2;
+  SandboxedEvaluator sandbox(runner, space_.registry(), options);
+  sandbox.link_runner(&runner);
+  ASSERT_TRUE(sandbox.measure(defaults()).valid());  // every worker forked
+  ::close(kHighFd);
+
+  struct pollfd pfd = {};
+  pfd.fd = fds[0];
+  pfd.events = POLLIN;
+  EXPECT_EQ(::poll(&pfd, 1, 2000), 1);
+  EXPECT_NE(pfd.revents & POLLHUP, 0) << "a worker still holds the write end";
+  sandbox.shutdown();
+  ::close(fds[0]);
 }
 
 TEST_F(SandboxTest, KilledWorkerIsClassifiedAsCrashAndRespawned) {
