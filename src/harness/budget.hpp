@@ -12,14 +12,12 @@
 // MeteredBudget is one measurement's view of the clock: it tallies the
 // charges of that measurement across every evaluator layer (runner, fault
 // injector, resilience), so a scheduler can account per-evaluation cost
-// without modifying any layer, and optionally caps them at a deadline.
+// without modifying any layer.
 #pragma once
 
-#include <algorithm>
 #include <atomic>
 #include <cstdint>
 
-#include "support/cancellation.hpp"
 #include "support/sim_time.hpp"
 
 namespace jat {
@@ -60,62 +58,32 @@ class BudgetClock {
 /// scheduler the exact budget cost of that evaluation, whatever evaluator
 /// layers charged it. With a null parent it is a free-standing tally with
 /// an unlimited budget.
-///
-/// An optional deadline caps what the evaluation may consume. Once the
-/// tally reaches it, charges are clamped so the parent is never billed
-/// past it, exhausted() reports true (which the runner's between-repetition
-/// expiry check turns into a cutoff), and the optional CancellationToken is
-/// cancelled so cooperative layers below stop early. This is how the
-/// resilience layer turns an injected hang — a single lump charge of the
-/// full hang timeout — into a bounded, classified kTimeout instead of a
-/// budget sinkhole.
 class MeteredBudget final : public BudgetClock {
  public:
-  explicit MeteredBudget(BudgetClock* parent,
-                         SimTime deadline = SimTime::infinite(),
-                         CancellationToken* token = nullptr)
+  explicit MeteredBudget(BudgetClock* parent)
       : BudgetClock(parent != nullptr ? parent->total() : SimTime::infinite()),
-        parent_(parent),
-        deadline_us_(deadline.as_micros()),
-        token_(token) {}
+        parent_(parent) {}
 
   SimTime spent() const override {
     return parent_ != nullptr ? parent_->spent() : metered();
   }
 
   bool exhausted() const override {
-    return tripped() || (parent_ != nullptr && parent_->exhausted());
+    return parent_ != nullptr && parent_->exhausted();
   }
 
   void charge(SimTime cost) override {
-    const std::int64_t us = cost.as_micros();
-    const std::int64_t before =
-        metered_us_.fetch_add(us, std::memory_order_relaxed);
-    // What the deadline still allows: compared with the charge, never
-    // summed with it, so the unlimited deadline (INT64_MAX µs) cannot
-    // overflow.
-    const std::int64_t room =
-        before >= deadline_us_ ? 0 : deadline_us_ - before;
-    if (us >= room && token_ != nullptr) token_->cancel();
-    const std::int64_t allowed = std::min(us, room);
-    if (allowed > 0 && parent_ != nullptr) {
-      parent_->charge(SimTime::micros(allowed));
-    }
+    metered_us_.fetch_add(cost.as_micros(), std::memory_order_relaxed);
+    if (parent_ != nullptr) parent_->charge(cost);
   }
 
-  /// Total this evaluation attempted to charge (uncapped).
+  /// Total this evaluation charged.
   SimTime metered() const {
     return SimTime::micros(metered_us_.load(std::memory_order_relaxed));
-  }
-  /// True once the deadline has been hit.
-  bool tripped() const {
-    return metered_us_.load(std::memory_order_relaxed) >= deadline_us_;
   }
 
  private:
   BudgetClock* parent_;
-  std::int64_t deadline_us_;
-  CancellationToken* token_;
   std::atomic<std::int64_t> metered_us_{0};
 };
 

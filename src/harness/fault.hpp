@@ -36,7 +36,6 @@ struct FaultStats {
   std::int64_t salvaged = 0;        ///< crashed reps absorbed into valid results
   std::int64_t overcharges = 0;     ///< injected budget overcharges
   std::int64_t latency_spikes = 0;  ///< injected slow-but-valid results
-  std::int64_t hang_cancelled = 0;  ///< hangs cut off by the resilience deadline
 
   std::int64_t failures() const {
     return transient + deterministic + timeouts + crashes;
@@ -64,7 +63,6 @@ void for_each_fault_counter(Visit&& visit, Stats&... stats) {
   visit("salvaged", stats.salvaged...);
   visit("overcharges", stats.overcharges...);
   visit("latency_spikes", stats.latency_spikes...);
-  visit("hang_cancelled", stats.hang_cancelled...);
 }
 
 /// What an evaluator stack has done so far (Evaluator::counters()). Each

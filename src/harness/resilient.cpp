@@ -79,47 +79,7 @@ Measurement ResilientEvaluator::measure(const Configuration& config,
   int attempt = 0;
   FaultClass recovered_from = FaultClass::kNone;
   for (;;) {
-    if (options_.hang_deadline_s > 0.0) {
-      // Run the attempt under a per-measurement deadline: a hang that tries
-      // to charge its full harness timeout in one lump is billed only the
-      // deadline, and the trip cancels the attempt's token so cooperative
-      // layers below stop early.
-      CancellationToken hang_token;
-      MeteredBudget deadline(budget, SimTime::seconds(options_.hang_deadline_s),
-                             &hang_token);
-      m = inner_->measure(config, &deadline, hints);
-      if (deadline.tripped() && m.crashed) {
-        m.fault = FaultClass::kTimeout;
-        m.crash_reason = "hang deadline (" +
-                         std::to_string(options_.hang_deadline_s) +
-                         "s) exceeded";
-        {
-          std::lock_guard lock(mutex_);
-          ++stats_.hang_cancelled;
-        }
-        if (trace_ != nullptr) {
-          trace_->emit(
-              TraceEvent("hang_deadline", budget_position(budget))
-                  .with("fingerprint", fingerprint_hex(fingerprint))
-                  .with("deadline_s", options_.hang_deadline_s)
-                  .with("charged_s", deadline.metered().as_seconds()));
-          trace_->metrics().add("resilient.hang_cancelled");
-        }
-      }
-    } else {
-      m = inner_->measure(config, budget, hints);
-    }
-
-    // Salvage: a measurement with at least one valid repetition is a noisy
-    // result, not a crash. BenchmarkRunner already does this for its own
-    // repetitions; this covers evaluators that do not.
-    if (m.crashed && !m.times_ms.empty()) {
-      m.crashed = false;
-      m.failed_reps = std::max(m.failed_reps, 1);
-      std::lock_guard lock(mutex_);
-      ++stats_.salvaged;
-    }
-
+    m = inner_->measure(config, budget, hints);
     if (!m.crashed) break;
 
     bool retry;

@@ -42,12 +42,6 @@ struct ResilienceOptions {
   int breaker_threshold = 10;
   /// Nominal cost of a quarantine answer (a result-database lookup).
   double quarantine_answer_cost_s = 0.05;
-  /// Per-measurement hang deadline in simulated seconds (0 = off). Each
-  /// attempt runs under a MeteredBudget with this deadline: a candidate
-  /// that tries to charge more than this — an injected hang burning its
-  /// full harness timeout, say — is cut off at the deadline, billed only
-  /// the deadline, and classified FaultClass::kTimeout.
-  double hang_deadline_s = 0.0;
 };
 
 class ResilientEvaluator : public Evaluator {
@@ -58,7 +52,6 @@ class ResilientEvaluator : public Evaluator {
                       const EvalHints& hints) override;
   using Evaluator::measure;
 
-  const ResilienceOptions& resilience_options() const { return options_; }
   /// Counters for the recovery actions taken so far (snapshot; thread-safe).
   FaultStats stats() const;
   EvalCounters counters() const override;

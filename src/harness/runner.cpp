@@ -62,17 +62,6 @@ void BenchmarkRunner::reseed_cache(const Configuration& config) {
   seed_cache(twin.measure(config));
 }
 
-void BenchmarkRunner::trace_cache_hit(std::uint64_t fingerprint, bool joined,
-                                      BudgetClock* budget) {
-  if (trace_ == nullptr) return;
-  trace_->emit(TraceEvent("cache_hit",
-                          budget != nullptr ? budget->spent() : SimTime::zero())
-                   .with("fingerprint", fingerprint_hex(fingerprint))
-                   .with("joined", joined));
-  trace_->metrics().add(joined ? "runner.single_flight_joins"
-                               : "runner.cache_hits");
-}
-
 const Measurement* BenchmarkRunner::store_lookup(const Configuration& config,
                                                  std::uint64_t fingerprint) {
   if (options_.store == nullptr || !options_.store_reads) return nullptr;
@@ -133,8 +122,6 @@ Measurement BenchmarkRunner::measure(const Configuration& config,
                                      BudgetClock* budget,
                                      const EvalHints& hints) {
   const std::uint64_t fingerprint = config.fingerprint();
-  std::shared_ptr<InFlight> flight;
-  bool leader = false;
   Measurement base;
   bool continuing = false;
   {
@@ -143,101 +130,53 @@ Measurement BenchmarkRunner::measure(const Configuration& config,
     if (it != cache_.end()) {
       // Top-up: a cached raced-out measurement asked for again as an
       // incumbent candidate is continued, not trusted at its truncated
-      // repetition count. Pull it out of the cache and lead a fresh
-      // single-flight measurement from where it stopped; concurrent
-      // requests arriving meanwhile join the merged result.
+      // repetition count. Pull it out of the cache and measure on from
+      // where it stopped.
       if (hints.top_up && options_.policy.adaptive && it->second.valid() &&
           it->second.stop == StopReason::kRacedOut) {
-        base = it->second;
+        base = std::move(it->second);
         continuing = true;
         cache_.erase(it);
-        flight = std::make_shared<InFlight>();
-        in_flight_.emplace(fingerprint, flight);
-        leader = true;
       } else {
         ++cache_hits_;
         if (budget != nullptr) {
           budget->charge(SimTime::seconds(kCacheHitOverheadSeconds));
         }
-        trace_cache_hit(fingerprint, /*joined=*/false, budget);
+        if (trace_ != nullptr) {
+          // `joined` is always false; the field stays so traces keep their
+          // shape.
+          trace_->emit(TraceEvent("cache_hit", budget != nullptr
+                                                   ? budget->spent()
+                                                   : SimTime::zero())
+                           .with("fingerprint", fingerprint_hex(fingerprint))
+                           .with("joined", false));
+          trace_->metrics().add("runner.cache_hits");
+        }
         return it->second;
       }
-    } else {
-      const auto in_flight = in_flight_.find(fingerprint);
-      if (in_flight != in_flight_.end()) {
-        flight = in_flight->second;
-      } else {
-        // Read-through: a miss answered by the cross-session store charges
-        // zero budget — the record was paid for by the session that
-        // measured it — and lands in the cache like any measurement.
-        if (const Measurement* stored = store_lookup(config, fingerprint)) {
-          if (trace_ != nullptr) {
-            trace_->emit(
-                TraceEvent("store_hit", budget != nullptr ? budget->spent()
-                                                          : SimTime::zero())
-                    .with("fingerprint", fingerprint_hex(fingerprint)));
-            trace_->metrics().add("runner.store_hits");
-          }
-          return *stored;
-        }
-        flight = std::make_shared<InFlight>();
-        in_flight_.emplace(fingerprint, flight);
-        leader = true;
+    } else if (const Measurement* stored = store_lookup(config, fingerprint)) {
+      // Read-through: a miss answered by the cross-session store charges
+      // zero budget — the record was paid for by the session that measured
+      // it — and lands in the cache like any measurement.
+      if (trace_ != nullptr) {
+        trace_->emit(TraceEvent("store_hit", budget != nullptr
+                                                 ? budget->spent()
+                                                 : SimTime::zero())
+                         .with("fingerprint", fingerprint_hex(fingerprint)));
+        trace_->metrics().add("runner.store_hits");
       }
+      return *stored;
     }
   }
 
-  if (!leader) {
-    // Single-flight: another thread is already measuring this fingerprint.
-    // Wait for its result; like a cache hit, only the lookup cost is
-    // charged — the simulator runs once per configuration.
-    std::unique_lock wait_lock(flight->m);
-    flight->cv.wait(wait_lock, [&] { return flight->done; });
-    // A leader that died with an exception produced no measurement; every
-    // waiter observes the same failure instead of a synthetic result.
-    if (flight->error) std::rethrow_exception(flight->error);
-    {
-      std::lock_guard lock(mutex_);
-      ++cache_hits_;
-    }
-    if (budget != nullptr) {
-      budget->charge(SimTime::seconds(kCacheHitOverheadSeconds));
-    }
-    trace_cache_hit(fingerprint, /*joined=*/true, budget);
-    return flight->result;
-  }
-
-  Measurement measurement;
-  try {
-    measurement = measure_uncached(config, fingerprint, budget, hints,
-                                   continuing ? &base : nullptr);
-  } catch (...) {
-    // Never leave followers waiting on a leader that died: hand them the
-    // exception itself and re-throw. The fingerprint stays uncached, so a
-    // later call re-measures.
-    {
-      std::lock_guard lock(mutex_);
-      in_flight_.erase(fingerprint);
-    }
-    {
-      std::lock_guard done_lock(flight->m);
-      flight->error = std::current_exception();
-      flight->done = true;
-    }
-    flight->cv.notify_all();
-    throw;
-  }
+  // A measurement that throws leaves no cache entry: a later call
+  // re-measures.
+  Measurement measurement = measure_uncached(config, fingerprint, budget, hints,
+                                             continuing ? &base : nullptr);
   {
     std::lock_guard lock(mutex_);
     cache_.emplace(fingerprint, measurement);
-    in_flight_.erase(fingerprint);
   }
-  {
-    std::lock_guard done_lock(flight->m);
-    flight->result = measurement;
-    flight->done = true;
-  }
-  flight->cv.notify_all();
   store_put(config, measurement);
   return measurement;
 }

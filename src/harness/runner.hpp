@@ -3,9 +3,7 @@
 #pragma once
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
-#include <exception>
 #include <memory>
 #include <mutex>
 #include <unordered_map>
@@ -78,10 +76,9 @@ class BenchmarkRunner : public Evaluator {
 
   /// Measures a configuration. Charges `budget` (when given) for every run
   /// actually executed; cache hits are nearly free, as a real tuner's
-  /// result database would make them. Concurrent misses on the same
-  /// fingerprint are single-flight: one thread runs the simulator, the
-  /// rest wait for its result and are charged like a cache hit, so the
-  /// budget is never double-charged for one configuration. Thread-safe.
+  /// result database would make them. Thread-safe. Concurrent calls for
+  /// one fingerprint would each measure it; the EvalScheduler never makes
+  /// them (it measures a configuration already in its window at delivery).
   ///
   /// `hints` carries the incumbent statistics for the adaptive policy's
   /// racing decision, and the top-up request: a cached raced-out
@@ -102,9 +99,9 @@ class BenchmarkRunner : public Evaluator {
   /// Cache hits so far (also in counters()).
   std::int64_t cache_hits() const { return cache_hits_; }
 
-  /// Attaches a trace sink (null to detach): cache hits and single-flight
-  /// joins are emitted as `cache_hit` events and counted in the sink's
-  /// metrics. The runner never emits when no sink is attached.
+  /// Attaches a trace sink (null to detach): cache hits are emitted as
+  /// `cache_hit` events and counted in the sink's metrics. The runner never
+  /// emits when no sink is attached.
   void set_trace_sink(TraceSink* trace) { trace_ = trace; }
 
   /// Attaches a cooperative cancellation token (null to detach). A
@@ -149,17 +146,6 @@ class BenchmarkRunner : public Evaluator {
   EvalCounters counters() const override;
 
  private:
-  /// A cache miss in progress: the leader publishes its result — or the
-  /// exception that killed it — here and wakes the followers waiting on
-  /// the same fingerprint.
-  struct InFlight {
-    std::mutex m;
-    std::condition_variable cv;
-    bool done = false;
-    Measurement result;
-    std::exception_ptr error;  ///< set when the leader threw; followers rethrow
-  };
-
   /// Runs the repetition loop for `config`, whose fingerprint measure()
   /// already computed. The start check runs once, before the loop; the
   /// decode and the simulation run once, at the first repetition of a
@@ -173,8 +159,6 @@ class BenchmarkRunner : public Evaluator {
                                const EvalHints& hints,
                                const Measurement* base);
 
-  void trace_cache_hit(std::uint64_t fingerprint, bool joined,
-                       BudgetClock* budget);
   /// Store read-through on a cache miss (mutex_ held): when the store has
   /// this key, inserts the rebuilt measurement into cache_ and returns it.
   const Measurement* store_lookup(const Configuration& config,
@@ -191,7 +175,6 @@ class BenchmarkRunner : public Evaluator {
 
   mutable std::mutex mutex_;
   std::unordered_map<std::uint64_t, Measurement> cache_;
-  std::unordered_map<std::uint64_t, std::shared_ptr<InFlight>> in_flight_;
   std::int64_t runs_executed_ = 0;
   std::int64_t simulations_ = 0;
   std::int64_t cache_hits_ = 0;

@@ -41,7 +41,7 @@ namespace {
 constexpr std::uint32_t kRequestMagic = 0x4a415251;  // "JARQ"
 constexpr std::uint32_t kReplyMagic = 0x4a415250;    // "JARP"
 constexpr std::uint32_t kMaxFrameBytes = 16u << 20;
-constexpr std::size_t kFaultStatsFields = 13;
+constexpr std::size_t kFaultStatsFields = 12;
 
 struct FrameHeader {
   std::uint32_t magic;
@@ -471,10 +471,6 @@ void SandboxedEvaluator::spawn(Worker& worker) {
   worker.request_fd = request_pipe[1];
   worker.reply_fd = reply_pipe[0];
   ChildRegistry::add(pid);
-  {
-    std::lock_guard lock(stats_mutex_);
-    ++workers_spawned_;
-  }
   emit_event("sandbox_spawn", worker, nullptr);
 }
 
@@ -700,13 +696,6 @@ Measurement SandboxedEvaluator::classify_death(Worker& worker,
   {
     std::lock_guard lock(stats_mutex_);
     count_fault(counters_.faults, m.fault);
-    if (deadline_expired) {
-      ++deadline_kills_;
-    } else if (m.fault == FaultClass::kTransient) {
-      ++torn_replies_;
-    } else {
-      ++worker_crashes_;
-    }
   }
 
   ::close(worker.request_fd);
@@ -888,29 +877,9 @@ EvalCounters SandboxedEvaluator::counters() const {
   return counters;
 }
 
-std::int64_t SandboxedEvaluator::workers_spawned() const {
-  std::lock_guard lock(stats_mutex_);
-  return workers_spawned_;
-}
-
 std::int64_t SandboxedEvaluator::workers_respawned() const {
   std::lock_guard lock(stats_mutex_);
   return workers_respawned_;
-}
-
-std::int64_t SandboxedEvaluator::deadline_kills() const {
-  std::lock_guard lock(stats_mutex_);
-  return deadline_kills_;
-}
-
-std::int64_t SandboxedEvaluator::worker_crashes() const {
-  std::lock_guard lock(stats_mutex_);
-  return worker_crashes_;
-}
-
-std::int64_t SandboxedEvaluator::torn_replies() const {
-  std::lock_guard lock(stats_mutex_);
-  return torn_replies_;
 }
 
 void SandboxedEvaluator::shutdown() {

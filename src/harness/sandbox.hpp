@@ -112,8 +112,7 @@ struct SandboxOptions {
 /// Evaluator decorator that executes the wrapped evaluator's measure()
 /// calls in forked worker processes. Thread-safe: concurrent measurements
 /// of different fingerprint residues proceed in parallel (one in-flight
-/// request per worker; callers to the same worker serialize, which is
-/// exactly the single-flight discipline the in-process cache enforces).
+/// request per worker; callers routed to the same worker serialize).
 class SandboxedEvaluator : public Evaluator {
  public:
   /// `inner` is the evaluator the *worker* runs (it is never called in the
@@ -147,11 +146,7 @@ class SandboxedEvaluator : public Evaluator {
   /// reopen the store's file descriptor after fork, so their appends lock
   /// and land independently of the parent's. Snapshot; thread-safe.
   EvalCounters counters() const override;
-  std::int64_t workers_spawned() const;
   std::int64_t workers_respawned() const;
-  std::int64_t deadline_kills() const;
-  std::int64_t worker_crashes() const;
-  std::int64_t torn_replies() const;
 
   /// Stops all workers: closes request pipes (workers exit on EOF), waits
   /// briefly, SIGKILLs stragglers, reaps everything. Idempotent; the
@@ -184,11 +179,7 @@ class SandboxedEvaluator : public Evaluator {
   mutable std::mutex stats_mutex_;
   /// Worker reply deltas plus the sandbox's own fault classifications.
   EvalCounters counters_;
-  std::int64_t workers_spawned_ = 0;
   std::int64_t workers_respawned_ = 0;
-  std::int64_t deadline_kills_ = 0;
-  std::int64_t worker_crashes_ = 0;
-  std::int64_t torn_replies_ = 0;
 };
 
 }  // namespace jat

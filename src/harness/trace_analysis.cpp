@@ -60,7 +60,6 @@ void reconstruct(SessionTrace& session) {
       ++phase_entry(session, e.get_string("phase")).incumbent_updates;
     } else if (e.type == "cache_hit") {
       ++session.cache_hits;
-      if (e.get_bool("joined")) ++session.single_flight_joins;
     } else if (e.type == "retry") {
       ++session.retries;
     } else if (e.type == "rep_stop") {
@@ -102,8 +101,6 @@ void reconstruct(SessionTrace& session) {
     } else if (e.type == "cancelled") {
       session.cancelled = true;
       session.drained = e.get_int("drained");
-    } else if (e.type == "hang_deadline") {
-      ++session.hang_cancelled;
     } else if (e.type == "sandbox_spawn") {
       ++session.sandbox_spawns;
     } else if (e.type == "worker_respawn") {
@@ -259,10 +256,6 @@ const std::vector<EventSpec>& schema() {
        {{"replayed", FieldKind::kInt}, {"total", FieldKind::kInt}}},
       {"journal_flush", {{"records", FieldKind::kInt}}},
       {"cancelled", {{"drained", FieldKind::kInt}}},
-      {"hang_deadline",
-       {{"fingerprint", FieldKind::kString},
-        {"deadline_s", FieldKind::kNumber},
-        {"charged_s", FieldKind::kNumber}}},
       {"sandbox_spawn",
        {{"worker", FieldKind::kInt}, {"pid", FieldKind::kInt}}},
       {"worker_exit",
@@ -349,20 +342,17 @@ std::string render_trace_report(const std::vector<SessionTrace>& sessions,
         << " ==\n";
     out << "  budget " << session.budget.to_string() << ", spent "
         << session.budget_spent.to_string() << "; " << session.evaluations
-        << " evaluations (" << session.cache_hits << " cache hits, "
-        << session.single_flight_joins << " single-flight joins), "
+        << " evaluations (" << session.cache_hits << " cache hits), "
         << session.runs << " runs\n";
     out << "  validated: default " << fmt(session.default_ms, 0)
         << " ms -> best " << fmt(session.best_ms, 0) << " ms ("
         << format_percent(session.improvement) << " improvement)\n";
     if (session.retries + session.quarantined + session.quarantine_hits +
-            session.breaker_trips + session.hang_cancelled >
-        0) {
+            session.breaker_trips > 0) {
       out << "  resilience: " << session.retries << " retries, "
           << session.recovered << " recovered, " << session.quarantined
           << " quarantined (" << session.quarantine_hits << " hits), "
-          << session.breaker_trips << " breaker trips, "
-          << session.hang_cancelled << " hangs cancelled\n";
+          << session.breaker_trips << " breaker trips\n";
     }
     if (session.reps_converged + session.reps_raced_out +
             session.reps_budget_cut + session.reps_cancelled + session.topups >

@@ -51,10 +51,8 @@ struct SessionTrace {
   // Search-side counters reconstructed from events.
   std::int64_t evaluations = 0;      ///< eval events
   std::int64_t incumbent_updates = 0;
-  /// session_end's count; cache_hit events (incl. joins) in a trace cut
-  /// before it
+  /// session_end's count; cache_hit events in a trace cut before it
   std::int64_t cache_hits = 0;
-  std::int64_t single_flight_joins = 0;
   std::int64_t retries = 0;          ///< retry events
   std::int64_t recovered = 0;        ///< evals that succeeded after retries
   std::int64_t quarantined = 0;
@@ -78,8 +76,8 @@ struct SessionTrace {
   std::int64_t max_inflight = 0;     ///< peak window occupancy observed
   double avg_inflight = 0.0;         ///< mean occupancy at delivery
 
-  // Durability and cancellation (journal_* / cancelled / hang_deadline
-  // events; zero/empty for traces predating the session journal).
+  // Durability and cancellation (journal_* / cancelled events;
+  // zero/empty for traces predating the session journal).
   bool resumed = false;              ///< session_start carried resumed=true
   std::string journal_mode;          ///< "fresh" | "resume" | "" (no journal)
   std::int64_t journal_records = 0;  ///< committed records at journal open
@@ -89,7 +87,6 @@ struct SessionTrace {
   std::int64_t journal_flushed = 0;  ///< records written at final flush
   bool cancelled = false;            ///< a cancelled event was seen
   std::int64_t drained = 0;          ///< in-flight evals drained on cancel
-  std::int64_t hang_cancelled = 0;   ///< hang_deadline events
 
   // Cross-session result store counters (store_open / store_hit /
   // warm_start events; zero/false for store-less sessions and traces

@@ -98,10 +98,6 @@ class HeapSim {
 
   double peak_used() const { return peak_used_; }
 
-  /// Live bytes that can never be collected; if these alone exceed old
-  /// capacity the run is a genuine OutOfMemoryError.
-  double permanent_live() const { return old_long_; }
-
  private:
   void note_peak();
 

@@ -41,9 +41,8 @@ class TuningContext {
 
   bool exhausted() const { return budget_->exhausted(); }
 
-  /// The session's trace sink, or nullptr when tracing is disabled. Tuners
-  /// use trace_event() instead and only pay when a sink is attached.
-  TraceSink* trace() { return trace_; }
+  /// True when the session traces. Tuners use trace_event() and only pay
+  /// when a sink is attached.
   bool tracing() const { return trace_ != nullptr; }
   /// Emits an event when tracing is enabled; no-op (and the argument should
   /// not be built) otherwise — guard call sites with tracing().
@@ -134,10 +133,8 @@ class TuningContext {
   // ---- durability & cancellation wiring (owned by the session) ----
 
   void set_journal(SessionJournal* journal) { journal_ = journal; }
-  SessionJournal* journal() { return journal_; }
 
   void set_cancellation(const CancellationToken* token) { cancel_ = token; }
-  const CancellationToken* cancellation() const { return cancel_; }
   bool cancelled() const { return is_cancelled(cancel_); }
 
   /// Arms replay: the next `records->size()` commits (in order) are answered

@@ -35,8 +35,6 @@ class WarmStartStrategy : public SearchStrategy {
   void tell(const Observation& observation) override;
   void finish() override;
 
-  std::size_t seed_count() const { return seeds_.size(); }
-
  private:
   SearchStrategy* inner_;
   std::vector<Configuration> seeds_;

@@ -870,62 +870,18 @@ TEST_F(Cancellation, TokenIsAsyncSignalSafeShaped) {
   EXPECT_TRUE(is_cancelled(&token));
 }
 
-// ---- DeadlineBudget and the hang deadline -----------------------------------
-
-TEST(DeadlineBudgetTest, CapsChargesAtTheDeadlineAndCancels) {
-  BudgetClock parent(SimTime::seconds(100));
-  CancellationToken token;
-  MeteredBudget deadline(&parent, SimTime::seconds(10), &token);
-
-  deadline.charge(SimTime::seconds(4));
-  EXPECT_EQ(parent.spent(), SimTime::seconds(4));
-  EXPECT_FALSE(deadline.tripped());
-  EXPECT_FALSE(token.cancelled());
-
-  // A lump charge past the deadline is clamped: the parent is billed only
-  // up to the cap, the deadline trips, and the token cancels.
-  deadline.charge(SimTime::seconds(60));
-  EXPECT_EQ(parent.spent(), SimTime::seconds(10));
-  EXPECT_TRUE(deadline.tripped());
-  EXPECT_TRUE(deadline.exhausted());
-  EXPECT_TRUE(token.cancelled());
-  EXPECT_EQ(deadline.metered(), SimTime::seconds(64));  // uncapped tally
-
-  // Further charges cost the parent nothing.
-  deadline.charge(SimTime::seconds(5));
-  EXPECT_EQ(parent.spent(), SimTime::seconds(10));
-}
+// ---- MeteredBudget ----------------------------------------------------------
 
 TEST(DeadlineBudgetTest, ExhaustionFollowsTheParentToo) {
   BudgetClock parent(SimTime::seconds(5));
-  MeteredBudget deadline(&parent, SimTime::seconds(100));
-  EXPECT_FALSE(deadline.exhausted());
-  parent.charge(SimTime::seconds(5));
-  EXPECT_TRUE(deadline.exhausted());  // parent expired, deadline not tripped
-  EXPECT_FALSE(deadline.tripped());
-}
-
-TEST(HangDeadline, InjectedHangIsCutOffBilledTheDeadlineAndClassified) {
-  set_log_level(LogLevel::kOff);
-  JvmSimulator sim;
-  BenchmarkRunner runner(sim, journal_workload());
-  FaultOptions faults;
-  faults.hang_rate = 1.0;
-  faults.hang_timeout = SimTime::seconds(60);
-  FaultInjectingEvaluator flaky(runner, faults);
-  ResilienceOptions resilience;
-  resilience.hang_deadline_s = 10.0;
-  ResilientEvaluator resilient(flaky, resilience);
-
-  BudgetClock budget(SimTime::minutes(10));
-  const Configuration defaults(FlagRegistry::hotspot());
-  const Measurement m = resilient.measure(defaults, &budget);
-  EXPECT_TRUE(m.crashed);
-  EXPECT_EQ(m.fault, FaultClass::kTimeout);
-  EXPECT_NE(m.crash_reason.find("hang deadline"), std::string::npos);
-  // Billed the deadline, not the hang's full 60s timeout.
-  EXPECT_EQ(budget.spent(), SimTime::seconds(10));
-  EXPECT_GE(resilient.stats().hang_cancelled, 1);
+  MeteredBudget meter(&parent);
+  EXPECT_FALSE(meter.exhausted());
+  meter.charge(SimTime::seconds(2));
+  EXPECT_EQ(parent.spent(), SimTime::seconds(2));
+  parent.charge(SimTime::seconds(3));
+  EXPECT_TRUE(meter.exhausted());  // the parent expired
+  EXPECT_EQ(meter.spent(), SimTime::seconds(5));
+  EXPECT_EQ(meter.metered(), SimTime::seconds(2));  // only its own charges
 }
 
 TEST(HangDeadline, CleanMeasurementsPassThroughUnclipped) {
@@ -937,14 +893,11 @@ TEST(HangDeadline, CleanMeasurementsPassThroughUnclipped) {
 
   BenchmarkRunner runner2(sim, journal_workload());
   FaultInjectingEvaluator flaky(runner2, FaultOptions{});
-  ResilienceOptions resilience;
-  resilience.hang_deadline_s = 1e6;  // generous: never trips
-  ResilientEvaluator resilient(flaky, resilience);
+  ResilientEvaluator resilient(flaky);
   const Measurement m =
       resilient.measure(Configuration(FlagRegistry::hotspot()), nullptr);
   ASSERT_TRUE(m.valid());
   EXPECT_DOUBLE_EQ(m.objective(), clean);
-  EXPECT_EQ(resilient.stats().hang_cancelled, 0);
 }
 
 // ---- crash-safe CSV ---------------------------------------------------------

@@ -1,18 +1,22 @@
 // EvalScheduler contract tests: the ask/tell trajectory is bit-identical
 // for any eval_threads at a fixed in-flight window, budget overshoot is
-// bounded by one window, BudgetClock charges survive a many-thread hammer,
-// and the outcome ratio metrics agree on crashed corners.
+// bounded by one window, no configuration is measured twice at once,
+// BudgetClock charges survive a many-thread hammer, and the outcome ratio
+// metrics agree on crashed corners.
 #include "tuner/scheduler.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <limits>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <thread>
+#include <unordered_map>
 #include <vector>
 
 #include "determinism_matrix.hpp"
@@ -163,6 +167,90 @@ TEST_F(SchedulerSuite, WindowSizeShapesTheTrajectory) {
     any_difference = a.db->get(i).fingerprint != b.db->get(i).fingerprint;
   }
   EXPECT_TRUE(any_difference);
+}
+
+// ---- one measurement per configuration at a time ----------------------------
+
+// Counts overlapping measure() calls per fingerprint. Each call is held for
+// about half a millisecond, so a second call for the same configuration
+// would overlap it.
+class OverlapProbe final : public Evaluator {
+ public:
+  explicit OverlapProbe(Evaluator& inner) : inner_(&inner) {}
+
+  Measurement measure(const Configuration& config, BudgetClock* budget,
+                      const EvalHints& hints) override {
+    const std::uint64_t fingerprint = config.fingerprint();
+    {
+      std::lock_guard lock(mutex_);
+      max_overlap_ = std::max(max_overlap_, ++active_[fingerprint]);
+    }
+    std::this_thread::sleep_for(std::chrono::microseconds(500));
+    Measurement m = inner_->measure(config, budget, hints);
+    std::lock_guard lock(mutex_);
+    --active_[fingerprint];
+    return m;
+  }
+  using Evaluator::measure;
+
+  EvalCounters counters() const override { return inner_->counters(); }
+
+  int max_overlap() const {
+    std::lock_guard lock(mutex_);
+    return max_overlap_;
+  }
+
+ private:
+  Evaluator* inner_;
+  mutable std::mutex mutex_;
+  std::unordered_map<std::uint64_t, int> active_;
+  int max_overlap_ = 0;
+};
+
+// Proposes three configurations round-robin, 48 proposals in all.
+class RoundRobinStrategy final : public SearchStrategy {
+ public:
+  static constexpr int kProposals = 48;
+
+  std::string name() const override { return "round-robin"; }
+  void ask(std::vector<Proposal>& out, std::size_t max) override {
+    for (; asked_ < kProposals && max > 0; ++asked_, --max) {
+      Configuration config(FlagRegistry::hotspot());
+      config.set_int("NewRatio", 1 + asked_ % 3);
+      out.emplace_back(std::move(config));
+    }
+  }
+  void tell(const Observation&) override { ++told_; }
+  int told() const { return told_; }
+
+ private:
+  int asked_ = 0;
+  int told_ = 0;
+};
+
+// The scheduler owns "one measurement per configuration at a time": a
+// configuration already in the window is measured at delivery, after the
+// earlier proposal committed, so the runner never sees one configuration
+// twice at once and each configuration is simulated once.
+TEST_F(SchedulerSuite, NeverMeasuresOneConfigurationTwiceAtOnce) {
+  for (const std::size_t threads : {2u, 4u, 8u}) {
+    SCOPED_TRACE("eval_threads " + std::to_string(threads));
+    BenchmarkRunner runner(sim_, scheduler_workload());
+    OverlapProbe probe(runner);
+    BudgetClock budget(SimTime::minutes(100000));
+    ResultDb db;
+    const SearchSpace space(FlagHierarchy::hotspot());
+    ThreadPool pool(threads);
+    TuningContext ctx(probe, budget, db, space, Rng(5), &pool);
+    RoundRobinStrategy strategy;
+    EvalScheduler(ctx, SchedulerOptions{.inflight = 8}).run(strategy);
+
+    EXPECT_EQ(probe.max_overlap(), 1);
+    EXPECT_EQ(strategy.told(), RoundRobinStrategy::kProposals);
+    const EvalCounters counters = runner.counters();
+    EXPECT_EQ(counters.runs, 3 * 3);
+    EXPECT_EQ(counters.cache_hits, RoundRobinStrategy::kProposals - 3);
+  }
 }
 
 // ---- BudgetClock under concurrent charges -----------------------------------
