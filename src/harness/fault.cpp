@@ -26,22 +26,20 @@ FaultStats& FaultStats::operator-=(const FaultStats& other) {
 }
 
 EvalCounters& EvalCounters::operator+=(const EvalCounters& other) {
-  runs += other.runs;
-  simulations += other.simulations;
-  cache_hits += other.cache_hits;
-  store_hits += other.store_hits;
-  store_appends += other.store_appends;
-  faults += other.faults;
+  for_each_eval_counter(
+      [](const char*, std::int64_t& mine, std::int64_t theirs) {
+        mine += theirs;
+      },
+      *this, other);
   return *this;
 }
 
 EvalCounters& EvalCounters::operator-=(const EvalCounters& other) {
-  runs -= other.runs;
-  simulations -= other.simulations;
-  cache_hits -= other.cache_hits;
-  store_hits -= other.store_hits;
-  store_appends -= other.store_appends;
-  faults -= other.faults;
+  for_each_eval_counter(
+      [](const char*, std::int64_t& mine, std::int64_t theirs) {
+        mine -= theirs;
+      },
+      *this, other);
   return *this;
 }
 

@@ -48,7 +48,7 @@ struct FaultStats {
 
 /// Calls `visit(name, counter...)` for every FaultStats counter in
 /// declaration order, passing that counter of each of `stats`: the one list
-/// arithmetic, rendering and the sandbox wire format walk.
+/// arithmetic and rendering walk.
 template <class Visit, class... Stats>
 void for_each_fault_counter(Visit&& visit, Stats&... stats) {
   visit("transient", stats.transient...);
@@ -79,6 +79,19 @@ struct EvalCounters {
   EvalCounters& operator+=(const EvalCounters& other);
   EvalCounters& operator-=(const EvalCounters& other);
 };
+
+/// Calls `visit(name, counter...)` for every EvalCounters counter, the
+/// FaultStats ones last, passing that counter of each of `counters`: the one
+/// list arithmetic and the sandbox reply frame walk.
+template <class Visit, class... Counters>
+void for_each_eval_counter(Visit&& visit, Counters&... counters) {
+  visit("runs", counters.runs...);
+  visit("simulations", counters.simulations...);
+  visit("cache_hits", counters.cache_hits...);
+  visit("store_hits", counters.store_hits...);
+  visit("store_appends", counters.store_appends...);
+  for_each_fault_counter(visit, counters.faults...);
+}
 
 /// Increments the stats counter matching a measurement's fault class.
 void count_fault(FaultStats& stats, FaultClass fault);

@@ -107,55 +107,58 @@ Measurement ResilientEvaluator::measure(const Configuration& config,
   // the taxonomy stays visible in the result log.
   if (!m.crashed && m.fault == FaultClass::kNone) m.fault = recovered_from;
 
-  bool quarantined_now = false;
-  std::string quarantine_reason;
-  int breaker_transition = 0;  // +1 opened, -1 closed
+  Effect effect;
   {
     std::lock_guard lock(mutex_);
-    if (!m.crashed) {
-      if (attempt > 0) ++stats_.retry_successes;
-      consecutive_failures_ = 0;
-      if (breaker_open_) breaker_transition = -1;
-      breaker_open_ = false;
-      // A success proves the config is not deterministically broken; forget
-      // any stale hard-failure count so transient-only configs are never at
-      // risk of quarantine.
-      records_.erase(fingerprint);
-    } else {
-      if (m.fault == FaultClass::kDeterministic ||
-          m.fault == FaultClass::kTimeout || m.fault == FaultClass::kCrash) {
-        CrashRecord& record = records_[fingerprint];
-        record.reason = m.crash_reason;
-        if (!record.quarantined &&
-            ++record.hard_failures >= options_.quarantine_threshold) {
-          record.quarantined = true;
-          ++stats_.quarantined;
-          quarantined_now = true;
-          quarantine_reason = record.reason;
-        }
-      }
-      if (++consecutive_failures_ >= options_.breaker_threshold &&
-          !breaker_open_) {
-        breaker_open_ = true;
-        ++stats_.breaker_trips;
-        breaker_transition = 1;
-      }
-    }
+    effect = apply_outcome(m);
   }
   if (trace_ != nullptr) {
-    if (quarantined_now) {
+    if (effect.quarantined) {
       trace_->emit(TraceEvent("quarantine", budget_position(budget))
                        .with("fingerprint", fingerprint_hex(fingerprint))
-                       .with("reason", quarantine_reason));
+                       .with("reason", m.crash_reason));
       trace_->metrics().add("resilient.quarantined");
     }
-    if (breaker_transition != 0) {
+    if (effect.breaker != 0) {
       trace_->emit(TraceEvent("breaker", budget_position(budget))
-                       .with("open", breaker_transition > 0));
-      if (breaker_transition > 0) trace_->metrics().add("resilient.breaker_trips");
+                       .with("open", effect.breaker > 0));
+      if (effect.breaker > 0) trace_->metrics().add("resilient.breaker_trips");
     }
   }
   return m;
+}
+
+ResilientEvaluator::Effect ResilientEvaluator::apply_outcome(
+    const Measurement& m) {
+  Effect effect;
+  if (!m.crashed) {
+    if (m.attempts > 1) ++stats_.retry_successes;
+    consecutive_failures_ = 0;
+    if (breaker_open_) effect.breaker = -1;
+    breaker_open_ = false;
+    // A success proves the config is not deterministically broken; forget
+    // any stale hard-failure count so transient-only configs are never at
+    // risk of quarantine.
+    records_.erase(m.config_fingerprint);
+    return effect;
+  }
+  if (m.fault == FaultClass::kDeterministic ||
+      m.fault == FaultClass::kTimeout || m.fault == FaultClass::kCrash) {
+    CrashRecord& record = records_[m.config_fingerprint];
+    record.reason = m.crash_reason;
+    if (!record.quarantined &&
+        ++record.hard_failures >= options_.quarantine_threshold) {
+      record.quarantined = true;
+      ++stats_.quarantined;
+      effect.quarantined = true;
+    }
+  }
+  if (++consecutive_failures_ >= options_.breaker_threshold && !breaker_open_) {
+    breaker_open_ = true;
+    ++stats_.breaker_trips;
+    effect.breaker = 1;
+  }
+  return effect;
 }
 
 void ResilientEvaluator::replay_outcome(const Measurement& m) {
@@ -166,30 +169,8 @@ void ResilientEvaluator::replay_outcome(const Measurement& m) {
     ++stats_.quarantine_hits;
     return;
   }
-  if (m.attempts > 1) {
-    stats_.retries += m.attempts - 1;
-    if (!m.crashed) ++stats_.retry_successes;
-  }
-  if (!m.crashed) {
-    consecutive_failures_ = 0;
-    breaker_open_ = false;
-    records_.erase(m.config_fingerprint);
-    return;
-  }
-  if (m.fault == FaultClass::kDeterministic ||
-      m.fault == FaultClass::kTimeout || m.fault == FaultClass::kCrash) {
-    CrashRecord& record = records_[m.config_fingerprint];
-    record.reason = m.crash_reason;
-    if (!record.quarantined &&
-        ++record.hard_failures >= options_.quarantine_threshold) {
-      record.quarantined = true;
-      ++stats_.quarantined;
-    }
-  }
-  if (++consecutive_failures_ >= options_.breaker_threshold && !breaker_open_) {
-    breaker_open_ = true;
-    ++stats_.breaker_trips;
-  }
+  if (m.attempts > 1) stats_.retries += m.attempts - 1;
+  apply_outcome(m);
 }
 
 }  // namespace jat

@@ -84,6 +84,16 @@ class ResilientEvaluator : public Evaluator {
     std::string reason;  ///< last hard-failure reason, kept for the answer
   };
 
+  /// What one outcome changed, for the live path's trace events.
+  struct Effect {
+    bool quarantined = false;  ///< it quarantined its fingerprint
+    int breaker = 0;           ///< +1 opened the breaker, -1 closed it
+  };
+
+  /// The quarantine and breaker rules, applied to one final measurement
+  /// (mutex_ held): what measure() and replay_outcome() share.
+  Effect apply_outcome(const Measurement& m);
+
   Evaluator* inner_;
   ResilienceOptions options_;
   TraceSink* trace_ = nullptr;

@@ -12,6 +12,8 @@
 #include <chrono>
 #include <cstring>
 #include <string>
+#include <string_view>
+#include <type_traits>
 #include <utility>
 
 #include "flags/parse.hpp"
@@ -31,17 +33,19 @@ namespace {
 //
 //   u32 magic | u32 payload_len | u64 fnv1a64(payload) | payload bytes
 //
-// The payload is a flat little scalar encoding (this is a fork, both ends
-// are the same binary on the same machine — no endianness or layout
-// negotiation needed, only torn-write detection, which the length prefix
-// plus checksum provides). Doubles are shipped as raw bit patterns, so a
-// measurement is bit-identical after the round trip.
+// A payload is one message's fields in the order of its field table
+// (request_fields, reply_fields), which PayloadWriter and PayloadReader
+// both walk. Both ends are the same binary on the same machine, so scalars
+// cross as their raw bytes (doubles as bit patterns: a measurement is
+// bit-identical after the round trip) and strings and vectors as a u32
+// count and their elements' raw bytes. The length prefix and checksum catch
+// torn writes; the reader accepts only a payload that is exactly the
+// encoding of some message.
 // ---------------------------------------------------------------------------
 
 constexpr std::uint32_t kRequestMagic = 0x4a415251;  // "JARQ"
 constexpr std::uint32_t kReplyMagic = 0x4a415250;    // "JARP"
 constexpr std::uint32_t kMaxFrameBytes = 16u << 20;
-constexpr std::size_t kFaultStatsFields = 12;
 
 struct FrameHeader {
   std::uint32_t magic;
@@ -49,252 +53,158 @@ struct FrameHeader {
   std::uint64_t checksum;
 };
 
-void append_u32(std::string& out, std::uint32_t v) {
-  out.append(reinterpret_cast<const char*>(&v), sizeof v);
-}
-void append_u64(std::string& out, std::uint64_t v) {
-  out.append(reinterpret_cast<const char*>(&v), sizeof v);
-}
-void append_i64(std::string& out, std::int64_t v) {
-  out.append(reinterpret_cast<const char*>(&v), sizeof v);
-}
-void append_f64(std::string& out, double v) {
-  out.append(reinterpret_cast<const char*>(&v), sizeof v);
+/// The request's fields in wire order: the one list that encode and decode
+/// walk. `Message` is a Request, const when encoding.
+template <class Visit, class Message>
+void request_fields(Visit&& visit, Message& request) {
+  visit(request.seq);
+  visit(request.fingerprint);
+  visit(request.spent_us);
+  visit(request.total_us);
+  visit(request.time_limit_us);
+  visit(request.racing_floor_ms);
+  visit(request.hints.top_up);
+  visit(request.hints.incumbent.count);
+  visit(request.hints.incumbent.mean);
+  visit(request.hints.incumbent.m2);
+  visit(request.command_line);
 }
 
-/// Bounds-checked sequential reader over a received payload. ok() goes
-/// false on any overrun; the caller treats that as a torn frame.
+/// The reply's fields in wire order, likewise: the envelope, then every
+/// field of the measurement but its summary.
+template <class Visit, class Message>
+void reply_fields(Visit&& visit, Message& reply) {
+  visit(reply.seq);
+  visit(reply.cost_us);
+  visit(reply.racing_floor_ms);
+  for_each_eval_counter(
+      [&visit](const char*, auto& counter) { visit(counter); }, reply.delta);
+  auto& m = reply.measurement;
+  visit(m.config_fingerprint);
+  visit(m.crashed);
+  visit(m.fault);
+  visit(m.stop);
+  visit(m.attempts);
+  visit(m.failed_reps);
+  visit(m.times_ms);
+  visit(m.rep_metrics);
+  visit(m.crash_reason);
+}
+
+/// Whether an enum value read off the wire is one of its enumerators: the
+/// label round trip maps every other value to a different one.
+bool is_enumerator(FaultClass fault) {
+  return fault_class_from_string(to_string(fault)) == fault;
+}
+bool is_enumerator(StopReason stop) {
+  return stop_reason_from_string(to_string(stop)) == stop;
+}
+
+/// Appends the fields a table visits to `payload`.
+class PayloadWriter {
+ public:
+  template <class T>
+  void operator()(const T& field) {
+    if constexpr (std::is_scalar_v<T>) {
+      append(&field, sizeof field);
+    } else {
+      (*this)(static_cast<std::uint32_t>(field.size()));
+      append(field.data(), field.size() * sizeof(typename T::value_type));
+    }
+  }
+
+  std::string payload;
+
+ private:
+  void append(const void* data, std::size_t n) {
+    if (n > 0) payload.append(static_cast<const char*>(data), n);
+  }
+};
+
+/// Bounds-checked reader over a received payload. Fails for good on an
+/// overrun, a bool byte other than 0 or 1, an enum value outside its
+/// enumerators, or a count the remaining bytes cannot hold.
 class PayloadReader {
  public:
-  PayloadReader(const char* data, std::size_t size) : data_(data), size_(size) {}
+  explicit PayloadReader(std::string_view payload) : rest_(payload) {}
 
-  bool ok() const { return ok_; }
-  bool exhausted() const { return pos_ == size_; }
+  /// True when every field decoded and no byte is left over.
+  bool done() const { return ok_ && rest_.empty(); }
 
-  std::uint32_t u32() { return scalar<std::uint32_t>(); }
-  std::uint64_t u64() { return scalar<std::uint64_t>(); }
-  std::int64_t i64() { return scalar<std::int64_t>(); }
-  double f64() { return scalar<double>(); }
-  std::uint8_t u8() { return scalar<std::uint8_t>(); }
-
-  std::string bytes(std::size_t n) {
-    if (!ok_ || size_ - pos_ < n) {
-      ok_ = false;
-      return {};
+  template <class T>
+  void operator()(T& field) {
+    if constexpr (std::is_same_v<T, bool>) {
+      std::uint8_t byte = 0;
+      take(&byte, sizeof byte);
+      ok_ = ok_ && byte <= 1;
+      field = byte == 1;
+    } else if constexpr (std::is_scalar_v<T>) {
+      take(&field, sizeof field);
+      if constexpr (std::is_enum_v<T>) ok_ = ok_ && is_enumerator(field);
+    } else {
+      using Element = typename T::value_type;
+      std::uint32_t n = 0;
+      (*this)(n);
+      ok_ = ok_ && n <= rest_.size() / sizeof(Element);
+      field.resize(ok_ ? n : 0);
+      take(field.data(), field.size() * sizeof(Element));
     }
-    std::string out(data_ + pos_, n);
-    pos_ += n;
-    return out;
   }
 
  private:
-  template <typename T>
-  T scalar() {
-    T v{};
-    if (!ok_ || size_ - pos_ < sizeof v) {
-      ok_ = false;
-      return v;
-    }
-    std::memcpy(&v, data_ + pos_, sizeof v);
-    pos_ += sizeof v;
-    return v;
+  void take(void* out, std::size_t n) {
+    ok_ = ok_ && n <= rest_.size();
+    if (!ok_ || n == 0) return;
+    std::memcpy(out, rest_.data(), n);
+    rest_.remove_prefix(n);
   }
 
-  const char* data_;
-  std::size_t size_;
-  std::size_t pos_ = 0;
+  std::string_view rest_;
   bool ok_ = true;
 };
-
-struct Request {
-  std::uint64_t seq = 0;
-  std::uint64_t fingerprint = 0;
-  std::int64_t spent_us = 0;
-  std::int64_t total_us = 0;
-  std::int64_t time_limit_us = 0;
-  double racing_floor_ms = 0.0;
-  // EvalHints across the process boundary: the incumbent's running
-  // statistics (serialized moments) for the adaptive racing decision, and
-  // the top-up flag. Zero count means no incumbent.
-  bool top_up = false;
-  std::uint64_t incumbent_count = 0;
-  double incumbent_mean = 0.0;
-  double incumbent_m2 = 0.0;
-  std::string command_line;
-};
-
-std::string encode_request(const Request& req) {
-  std::string p;
-  append_u64(p, req.seq);
-  append_u64(p, req.fingerprint);
-  append_i64(p, req.spent_us);
-  append_i64(p, req.total_us);
-  append_i64(p, req.time_limit_us);
-  append_f64(p, req.racing_floor_ms);
-  p.push_back(req.top_up ? 1 : 0);
-  append_u64(p, req.incumbent_count);
-  append_f64(p, req.incumbent_mean);
-  append_f64(p, req.incumbent_m2);
-  append_u32(p, static_cast<std::uint32_t>(req.command_line.size()));
-  p += req.command_line;
-  return p;
-}
-
-bool decode_request(const std::string& payload, Request& req) {
-  PayloadReader r(payload.data(), payload.size());
-  req.seq = r.u64();
-  req.fingerprint = r.u64();
-  req.spent_us = r.i64();
-  req.total_us = r.i64();
-  req.time_limit_us = r.i64();
-  req.racing_floor_ms = r.f64();
-  req.top_up = r.u8() != 0;
-  req.incumbent_count = r.u64();
-  req.incumbent_mean = r.f64();
-  req.incumbent_m2 = r.f64();
-  const std::uint32_t len = r.u32();
-  req.command_line = r.bytes(len);
-  return r.ok() && r.exhausted();
-}
-
-struct Reply {
-  std::uint64_t seq = 0;
-  std::uint64_t fingerprint = 0;
-  bool crashed = false;
-  FaultClass fault = FaultClass::kNone;
-  StopReason stop = StopReason::kFull;
-  std::int32_t attempts = 1;
-  std::int32_t failed_reps = 0;
-  std::int64_t cost_us = 0;
-  /// Change of the wrapped evaluator's counters over this request.
-  EvalCounters delta;
-  double racing_floor_ms = 0.0;
-  std::vector<double> times_ms;
-  /// Per-repetition metric matrix, rows aligned with times_ms; doubles
-  /// cross the pipe as raw bit patterns, so the parent rebuilds the exact
-  /// metric vectors the worker's runner recorded.
-  std::vector<MetricVector> rep_metrics;
-  std::string crash_reason;
-};
-
-void append_stats(std::string& p, const FaultStats& s) {
-  append_u32(p, static_cast<std::uint32_t>(kFaultStatsFields));
-  for_each_fault_counter(
-      [&p](const char*, std::int64_t value) { append_i64(p, value); }, s);
-}
-
-bool read_stats(PayloadReader& r, FaultStats& s) {
-  if (r.u32() != kFaultStatsFields) return false;
-  for_each_fault_counter(
-      [&r](const char*, std::int64_t& value) { value = r.i64(); }, s);
-  return r.ok();
-}
-
-std::string encode_reply(const Reply& reply) {
-  std::string p;
-  append_u64(p, reply.seq);
-  append_u64(p, reply.fingerprint);
-  p.push_back(reply.crashed ? 1 : 0);
-  p.push_back(static_cast<char>(reply.fault));
-  p.push_back(static_cast<char>(reply.stop));
-  append_i64(p, reply.attempts);
-  append_i64(p, reply.failed_reps);
-  append_i64(p, reply.cost_us);
-  append_i64(p, reply.delta.runs);
-  append_i64(p, reply.delta.simulations);
-  append_i64(p, reply.delta.cache_hits);
-  append_i64(p, reply.delta.store_hits);
-  append_i64(p, reply.delta.store_appends);
-  append_f64(p, reply.racing_floor_ms);
-  append_stats(p, reply.delta.faults);
-  append_u32(p, static_cast<std::uint32_t>(reply.times_ms.size()));
-  for (const double t : reply.times_ms) append_f64(p, t);
-  append_u32(p, static_cast<std::uint32_t>(kMetricCount));
-  append_u32(p, static_cast<std::uint32_t>(reply.rep_metrics.size()));
-  for (const MetricVector& row : reply.rep_metrics) {
-    for (const double v : row.v) append_f64(p, v);
-  }
-  append_u32(p, static_cast<std::uint32_t>(reply.crash_reason.size()));
-  p += reply.crash_reason;
-  return p;
-}
-
-bool decode_reply(const std::string& payload, Reply& reply) {
-  PayloadReader r(payload.data(), payload.size());
-  reply.seq = r.u64();
-  reply.fingerprint = r.u64();
-  reply.crashed = r.u8() != 0;
-  reply.fault = static_cast<FaultClass>(r.u8());
-  reply.stop = static_cast<StopReason>(r.u8());
-  reply.attempts = static_cast<std::int32_t>(r.i64());
-  reply.failed_reps = static_cast<std::int32_t>(r.i64());
-  reply.cost_us = r.i64();
-  reply.delta.runs = r.i64();
-  reply.delta.simulations = r.i64();
-  reply.delta.cache_hits = r.i64();
-  reply.delta.store_hits = r.i64();
-  reply.delta.store_appends = r.i64();
-  reply.racing_floor_ms = r.f64();
-  if (!read_stats(r, reply.delta.faults)) return false;
-  const std::uint32_t n = r.u32();
-  if (!r.ok() || n > kMaxFrameBytes / sizeof(double)) return false;
-  reply.times_ms.clear();
-  reply.times_ms.reserve(n);
-  for (std::uint32_t i = 0; i < n; ++i) reply.times_ms.push_back(r.f64());
-  const std::uint32_t metric_cols = r.u32();
-  const std::uint32_t metric_rows = r.u32();
-  if (!r.ok() || metric_cols != static_cast<std::uint32_t>(kMetricCount) ||
-      metric_rows > kMaxFrameBytes / (sizeof(double) * kMetricCount)) {
-    return false;
-  }
-  reply.rep_metrics.clear();
-  reply.rep_metrics.reserve(metric_rows);
-  for (std::uint32_t i = 0; i < metric_rows; ++i) {
-    MetricVector row;
-    for (double& v : row.v) v = r.f64();
-    reply.rep_metrics.push_back(row);
-  }
-  const std::uint32_t reason_len = r.u32();
-  reply.crash_reason = r.bytes(reason_len);
-  return r.ok() && r.exhausted();
-}
 
 // ---------------------------------------------------------------------------
 // Pipe I/O
 // ---------------------------------------------------------------------------
 
 using Clock = std::chrono::steady_clock;
+constexpr Clock::time_point kNever = Clock::time_point::max();
 
+/// How a frame exchange ended, as this end of the pipe saw it.
 enum class IoStatus {
-  kOk,       ///< full frame read/written
-  kEof,      ///< peer closed before the *first* byte of the frame
-  kTorn,     ///< peer closed (or babbled) mid-frame / checksum mismatch
-  kTimeout,  ///< deadline expired
+  kOk,        ///< a whole frame was written, or read and checked
+  kClosed,    ///< the peer closed its end, before or during the frame
+  kTimeout,   ///< the deadline expired
+  kBadFrame,  ///< a whole frame (or header) arrived wrong
 };
 
-IoStatus write_frame(int fd, std::uint32_t magic, const std::string& payload) {
+std::string frame(std::uint32_t magic, const std::string& payload) {
   FrameHeader header;
   header.magic = magic;
   header.payload_len = static_cast<std::uint32_t>(payload.size());
   header.checksum = fnv1a64(payload);
-  std::string frame;
-  frame.reserve(sizeof header + payload.size());
-  frame.append(reinterpret_cast<const char*>(&header), sizeof header);
-  frame += payload;
-  // Pipes can short-write past PIPE_BUF; write_all() continues. A failure
-  // is EPIPE: the peer is gone.
-  return write_all(fd, frame.data(), frame.size()) ? IoStatus::kOk
-                                                   : IoStatus::kEof;
+  std::string out;
+  out.reserve(sizeof header + payload.size());
+  out.append(reinterpret_cast<const char*>(&header), sizeof header);
+  out += payload;
+  return out;
 }
 
-/// Reads exactly `len` bytes, honouring an optional wall-clock deadline.
-/// `*got` reports how many bytes arrived (torn-frame detection).
-IoStatus read_exact(int fd, char* buf, std::size_t len, bool has_deadline,
-                    Clock::time_point deadline, std::size_t* got) {
-  *got = 0;
-  while (*got < len) {
+IoStatus write_frame(int fd, std::uint32_t magic, const std::string& payload) {
+  const std::string bytes = frame(magic, payload);
+  // Pipes can short-write past PIPE_BUF; write_all() continues. A failure
+  // is EPIPE: the peer is gone.
+  return write_all(fd, bytes.data(), bytes.size()) ? IoStatus::kOk
+                                                   : IoStatus::kClosed;
+}
+
+/// Reads exactly `len` bytes by `deadline` (kNever waits for ever).
+IoStatus read_exact(int fd, char* buf, std::size_t len,
+                    Clock::time_point deadline) {
+  std::size_t got = 0;
+  while (got < len) {
     int timeout_ms = -1;
-    if (has_deadline) {
+    if (deadline != kNever) {
       const auto remaining = std::chrono::duration_cast<std::chrono::milliseconds>(
           deadline - Clock::now());
       if (remaining.count() <= 0) return IoStatus::kTimeout;
@@ -306,42 +216,54 @@ IoStatus read_exact(int fd, char* buf, std::size_t len, bool has_deadline,
     const int rc = ::poll(&pfd, 1, timeout_ms);
     if (rc < 0) {
       if (errno == EINTR) continue;
-      return IoStatus::kTorn;
+      return IoStatus::kBadFrame;  // poll itself failed: give up on the peer
     }
     if (rc == 0) continue;  // re-check the deadline
-    const ssize_t n = ::read(fd, buf + *got, len - *got);
-    if (n == 0) return IoStatus::kEof;
-    if (n < 0) {
-      if (errno == EINTR || errno == EAGAIN) continue;
-      return IoStatus::kEof;
-    }
-    *got += static_cast<std::size_t>(n);
+    const ssize_t n = ::read(fd, buf + got, len - got);
+    if (n < 0 && (errno == EINTR || errno == EAGAIN)) continue;
+    if (n <= 0) return IoStatus::kClosed;
+    got += static_cast<std::size_t>(n);
   }
   return IoStatus::kOk;
 }
 
-/// Reads one frame. kEof only when the pipe closed cleanly *between*
-/// frames; a death or garbage mid-frame is kTorn.
 IoStatus read_frame(int fd, std::uint32_t expected_magic, std::string& payload,
-                    bool has_deadline, Clock::time_point deadline) {
+                    Clock::time_point deadline) {
   FrameHeader header;
-  std::size_t got = 0;
   IoStatus status = read_exact(fd, reinterpret_cast<char*>(&header),
-                               sizeof header, has_deadline, deadline, &got);
-  if (status == IoStatus::kEof && got > 0) return IoStatus::kTorn;
+                               sizeof header, deadline);
   if (status != IoStatus::kOk) return status;
   if (header.magic != expected_magic || header.payload_len > kMaxFrameBytes) {
-    return IoStatus::kTorn;
+    return IoStatus::kBadFrame;
   }
   payload.resize(header.payload_len);
-  if (header.payload_len > 0) {
-    status = read_exact(fd, payload.data(), payload.size(), has_deadline,
-                        deadline, &got);
-    if (status == IoStatus::kEof) return IoStatus::kTorn;
-    if (status != IoStatus::kOk) return status;
+  status = read_exact(fd, payload.data(), payload.size(), deadline);
+  if (status != IoStatus::kOk) return status;
+  return fnv1a64(payload) == header.checksum ? IoStatus::kOk
+                                             : IoStatus::kBadFrame;
+}
+
+/// Reaps `pid`, waking on the SIGCHLD self-pipe, and SIGKILLs it if it is
+/// still alive at `kill_at` (kNever waits for ever). True when it exited
+/// by itself, with its wait status in `*status`. A pid that is no longer
+/// our child counts as exited and leaves `*status` untouched.
+bool reap_by(pid_t pid, Clock::time_point kill_at, int* status) {
+  for (bool killed = false;;) {
+    const pid_t rc = ::waitpid(pid, status, WNOHANG);
+    if (rc == pid || (rc < 0 && errno != EINTR)) {
+      ChildRegistry::remove(pid);
+      return !killed;
+    }
+    if (!killed && Clock::now() >= kill_at) {
+      ::kill(pid, SIGKILL);
+      killed = true;
+    }
+    struct pollfd pfd = {};
+    pfd.fd = child_exit_pipe().fd();
+    pfd.events = POLLIN;
+    ::poll(&pfd, 1, 10);
+    child_exit_pipe().drain();
   }
-  if (fnv1a64(payload) != header.checksum) return IoStatus::kTorn;
-  return IoStatus::kOk;
 }
 
 std::string describe_signal(int sig) {
@@ -353,6 +275,42 @@ std::string describe_signal(int sig) {
     out += ")";
   }
   return out;
+}
+
+/// Classifies a failed request from the cause the parent observed and the
+/// worker's own wait status (null when the parent killed it).
+Measurement classify_death(IoStatus cause, const int* exit_status,
+                           const SandboxOptions& options) {
+  Measurement m;
+  m.crashed = true;
+  m.fault = FaultClass::kCrash;
+  if (cause == IoStatus::kTimeout) {
+    m.fault = FaultClass::kTimeout;
+    m.crash_reason = "sandbox deadline (" +
+                     std::to_string(options.eval_deadline_s) +
+                     "s) exceeded; worker killed";
+  } else if (exit_status == nullptr) {
+    // A live worker sent a bad frame and the parent killed it: an
+    // infrastructure flake, which the respawned worker may well survive.
+    m.fault = FaultClass::kTransient;
+    m.crash_reason = "worker sent a bad reply frame; killed";
+  } else if (WIFSIGNALED(*exit_status)) {
+    const int sig = WTERMSIG(*exit_status);
+    if (sig == SIGXCPU) {
+      m.fault = FaultClass::kTimeout;
+      m.crash_reason = "worker exceeded RLIMIT_CPU (SIGXCPU)";
+    } else {
+      m.crash_reason = "worker killed by " + describe_signal(sig);
+    }
+  } else if (WIFEXITED(*exit_status) && WEXITSTATUS(*exit_status) != 0) {
+    m.crash_reason = "worker exited with status " +
+                     std::to_string(WEXITSTATUS(*exit_status));
+  } else {
+    // Exit 0 without a whole reply: a torn write, likewise a flake.
+    m.fault = FaultClass::kTransient;
+    m.crash_reason = "worker sent a torn reply";
+  }
+  return m;
 }
 
 /// The worker's cooperative-stop latch: the parent (or an operator Ctrl-C
@@ -392,6 +350,34 @@ bool in_list(const std::vector<std::uint64_t>& list, std::uint64_t fp) {
 
 }  // namespace
 
+namespace sandbox_wire {
+
+std::string encode_request(const Request& request) {
+  PayloadWriter writer;
+  request_fields(writer, request);
+  return std::move(writer.payload);
+}
+
+bool decode_request(std::string_view payload, Request& request) {
+  PayloadReader reader(payload);
+  request_fields(reader, request);
+  return reader.done();
+}
+
+std::string encode_reply(const Reply& reply) {
+  PayloadWriter writer;
+  reply_fields(writer, reply);
+  return std::move(writer.payload);
+}
+
+bool decode_reply(std::string_view payload, Reply& reply) {
+  PayloadReader reader(payload);
+  reply_fields(reader, reply);
+  return reader.done();
+}
+
+}  // namespace sandbox_wire
+
 // ---------------------------------------------------------------------------
 // Worker bookkeeping (parent side)
 // ---------------------------------------------------------------------------
@@ -404,6 +390,16 @@ struct SandboxedEvaluator::Worker {
   int reply_fd = -1;      ///< parent reads replies here
   std::uint64_t next_seq = 0;
   std::uint64_t generation = 0;  ///< respawn count of this slot
+
+  /// Forgets a reaped worker: closes its pipes, so that the next request
+  /// respawns it.
+  void forget() {
+    for (int* fd : {&request_fd, &reply_fd}) {
+      if (*fd >= 0) ::close(*fd);
+      *fd = -1;
+    }
+    pid = -1;
+  }
 };
 
 SandboxedEvaluator::SandboxedEvaluator(Evaluator& inner,
@@ -530,12 +526,12 @@ void SandboxedEvaluator::spawn(Worker& worker) {
   const SandboxFaultInjection& inject = options_.inject;
   for (;;) {
     std::string payload;
-    const IoStatus status = read_frame(request_fd, kRequestMagic, payload,
-                                       /*has_deadline=*/false, {});
-    if (status == IoStatus::kEof) ::_exit(0);  // parent closed: shutdown
+    const IoStatus status =
+        read_frame(request_fd, kRequestMagic, payload, kNever);
+    if (status == IoStatus::kClosed) ::_exit(0);  // parent closed: shutdown
     if (status != IoStatus::kOk) ::_exit(3);
-    Request req;
-    if (!decode_request(payload, req)) ::_exit(4);
+    sandbox_wire::Request req;
+    if (!sandbox_wire::decode_request(payload, req)) ::_exit(4);
 
     // Sandbox-level fault injection: these are *real* process faults, not
     // modelled ones — the parent must observe and classify actual death.
@@ -562,9 +558,6 @@ void SandboxedEvaluator::spawn(Worker& worker) {
       }
     }
 
-    Reply reply;
-    reply.seq = req.seq;
-    reply.fingerprint = req.fingerprint;
     if (runner_ != nullptr) {
       runner_->set_time_limit(SimTime::micros(req.time_limit_us));
       runner_->set_racing_floor_ms(req.racing_floor_ms);
@@ -577,45 +570,27 @@ void SandboxedEvaluator::spawn(Worker& worker) {
     BudgetClock shadow(SimTime::micros(req.total_us));
     shadow.charge(SimTime::micros(req.spent_us));
     MeteredBudget meter(&shadow);
-    EvalHints hints;
-    hints.top_up = req.top_up;
-    hints.incumbent.count = static_cast<std::size_t>(req.incumbent_count);
-    hints.incumbent.mean = req.incumbent_mean;
-    hints.incumbent.m2 = req.incumbent_m2;
-    Measurement m;
+    sandbox_wire::Reply reply;
+    reply.seq = req.seq;
     try {
-      m = inner_->measure(parse_command_line(*registry_, req.command_line),
-                          &meter, hints);
+      reply.measurement = inner_->measure(
+          parse_command_line(*registry_, req.command_line), &meter, req.hints);
     } catch (...) {
       ::_exit(7);  // the parent classifies this death as kCrash
     }
-    if (m.config_fingerprint != req.fingerprint) ::_exit(6);
-
-    reply.crashed = m.crashed;
-    reply.fault = m.fault;
-    reply.stop = m.stop;
-    reply.attempts = m.attempts;
-    reply.failed_reps = m.failed_reps;
+    if (reply.measurement.config_fingerprint != req.fingerprint) ::_exit(6);
     reply.cost_us = meter.metered().as_micros();
-    reply.times_ms = m.times_ms;
-    reply.rep_metrics = m.rep_metrics;
-    reply.crash_reason = m.crash_reason;
     reply.delta = inner_->counters();
     reply.delta -= before;
     if (runner_ != nullptr) reply.racing_floor_ms = runner_->racing_floor_ms();
 
-    const std::string encoded = encode_reply(reply);
+    const std::string encoded = sandbox_wire::encode_reply(reply);
     if (inject_torn) {
-      // Write a deliberately truncated frame, then die "cleanly": the
-      // parent must detect the tear by length/checksum, not exit status.
-      FrameHeader header;
-      header.magic = kReplyMagic;
-      header.payload_len = static_cast<std::uint32_t>(encoded.size());
-      header.checksum = fnv1a64(encoded);
-      std::string frame;
-      frame.append(reinterpret_cast<const char*>(&header), sizeof header);
-      frame += encoded.substr(0, encoded.size() / 2);
-      write_all(reply_fd, frame.data(), frame.size());
+      // Write half a frame, then exit 0: the parent sees the pipe close
+      // mid-frame, and a clean exit without a whole reply is a torn reply.
+      const std::string bytes = frame(kReplyMagic, encoded);
+      write_all(reply_fd, bytes.data(),
+                sizeof(FrameHeader) + encoded.size() / 2);
       ::_exit(0);
     }
     if (write_frame(reply_fd, kReplyMagic, encoded) != IoStatus::kOk) {
@@ -646,71 +621,6 @@ void SandboxedEvaluator::emit_event(const char* name, const Worker& worker,
   trace_->metrics().add(std::string("sandbox.") + name);
 }
 
-/// Reaps the worker and classifies its death. `deadline_expired` selects
-/// the watchdog path (we did the killing); otherwise the exit status tells
-/// the story.
-Measurement SandboxedEvaluator::classify_death(Worker& worker,
-                                               std::uint64_t fingerprint,
-                                               BudgetClock* budget,
-                                               bool deadline_expired) {
-  int status = 0;
-  ::waitpid(worker.pid, &status, 0);
-  ChildRegistry::remove(worker.pid);
-
-  Measurement m;
-  m.config_fingerprint = fingerprint;
-  m.crashed = true;
-  SimTime cost = options_.crash_cost;
-  if (deadline_expired) {
-    m.fault = FaultClass::kTimeout;
-    m.crash_reason = "sandbox deadline (" +
-                     std::to_string(options_.eval_deadline_s) +
-                     "s) exceeded; worker killed";
-    cost = options_.hang_cost;
-  } else if (WIFSIGNALED(status)) {
-    const int sig = WTERMSIG(status);
-    if (sig == SIGXCPU) {
-      m.fault = FaultClass::kTimeout;
-      m.crash_reason = "worker exceeded RLIMIT_CPU (SIGXCPU)";
-      cost = options_.hang_cost;
-    } else {
-      m.fault = FaultClass::kCrash;
-      m.crash_reason = "worker killed by " + describe_signal(sig);
-    }
-  } else if (WIFEXITED(status) && WEXITSTATUS(status) != 0) {
-    m.fault = FaultClass::kCrash;
-    m.crash_reason =
-        "worker exited with status " + std::to_string(WEXITSTATUS(status));
-  } else {
-    // Exit 0 without a (complete) reply: a torn write, which is an
-    // infrastructure flake — the respawned worker may well succeed.
-    m.fault = FaultClass::kTransient;
-    m.crash_reason = "worker sent a torn reply";
-  }
-  if (budget != nullptr) budget->charge(cost);
-
-  emit_event("worker_exit", worker, budget, "cause",
-             deadline_expired ? std::string("deadline")
-                              : std::string(to_string(m.fault)) + ": " +
-                                    m.crash_reason);
-  {
-    std::lock_guard lock(stats_mutex_);
-    count_fault(counters_.faults, m.fault);
-  }
-
-  ::close(worker.request_fd);
-  ::close(worker.reply_fd);
-  worker.request_fd = -1;
-  worker.reply_fd = -1;
-  worker.pid = -1;  // respawned lazily by the next request
-  return m;
-}
-
-void SandboxedEvaluator::retire(Worker& worker, int kill_sig) {
-  if (worker.pid <= 0) return;
-  ::kill(worker.pid, kill_sig);
-}
-
 Measurement SandboxedEvaluator::measure(const Configuration& config,
                                         BudgetClock* budget,
                                         const EvalHints& hints) {
@@ -732,7 +642,7 @@ Measurement SandboxedEvaluator::measure(const Configuration& config,
     emit_event("worker_respawn", worker, budget);
   }
 
-  Request req;
+  sandbox_wire::Request req;
   req.seq = worker.next_seq++;
   req.fingerprint = fingerprint;
   req.spent_us = budget != nullptr ? budget->spent().as_micros() : 0;
@@ -741,97 +651,67 @@ Measurement SandboxedEvaluator::measure(const Configuration& config,
   req.time_limit_us = runner_ != nullptr ? runner_->time_limit().as_micros()
                                          : SimTime::infinite().as_micros();
   req.racing_floor_ms = runner_ != nullptr ? runner_->racing_floor_ms() : 0.0;
-  req.top_up = hints.top_up;
-  req.incumbent_count = static_cast<std::uint64_t>(hints.incumbent.count);
-  req.incumbent_mean = hints.incumbent.mean;
-  req.incumbent_m2 = hints.incumbent.m2;
+  req.hints = hints;
   req.command_line = config.render_command_line();
 
-  const bool has_deadline = options_.eval_deadline_s > 0.0;
   const auto deadline =
-      Clock::now() + std::chrono::microseconds(static_cast<std::int64_t>(
-                         options_.eval_deadline_s * 1e6));
-
-  if (write_frame(worker.request_fd, kRequestMagic, encode_request(req)) !=
-      IoStatus::kOk) {
-    // The worker died between requests; classify whatever killed it.
-    return classify_death(worker, fingerprint, budget,
-                          /*deadline_expired=*/false);
-  }
-
+      options_.eval_deadline_s > 0.0
+          ? Clock::now() + std::chrono::microseconds(static_cast<std::int64_t>(
+                               options_.eval_deadline_s * 1e6))
+          : kNever;
+  IoStatus io = write_frame(worker.request_fd, kRequestMagic,
+                            sandbox_wire::encode_request(req));
   std::string payload;
-  IoStatus status =
-      read_frame(worker.reply_fd, kReplyMagic, payload, has_deadline, deadline);
+  if (io == IoStatus::kOk) {
+    io = read_frame(worker.reply_fd, kReplyMagic, payload, deadline);
+  }
+  sandbox_wire::Reply reply;
+  if (io == IoStatus::kOk &&
+      !(sandbox_wire::decode_reply(payload, reply) && reply.seq == req.seq &&
+        reply.measurement.config_fingerprint == fingerprint)) {
+    io = IoStatus::kBadFrame;
+  }
 
-  if (status == IoStatus::kTimeout) {
-    // Watchdog escalation: SIGTERM first (a cooperating worker finishes
-    // its repetition and exits or replies — we no longer want the reply),
-    // SIGKILL after the grace period ends the wedged ones.
-    emit_event("sandbox_kill", worker, budget, "stage", "term");
-    retire(worker, SIGTERM);
-    const auto grace_deadline =
-        Clock::now() + std::chrono::milliseconds(options_.kill_grace_ms);
-    bool exited = false;
-    while (Clock::now() < grace_deadline) {
-      int wait_status = 0;
-      if (::waitpid(worker.pid, &wait_status, WNOHANG) == worker.pid) {
-        // Reaped here; classify_death's waitpid below becomes a no-op
-        // (ECHILD) — feed it the deadline path regardless.
-        exited = true;
-        break;
-      }
-      struct pollfd pfd = {};
-      pfd.fd = child_exit_pipe().fd();
-      pfd.events = POLLIN;
-      ::poll(&pfd, 1, 10);
-      child_exit_pipe().drain();
+  if (io != IoStatus::kOk) {
+    // End the worker. A closed pipe means it is exiting: wait for it. The
+    // watchdog sends SIGTERM (a cooperating worker finishes its repetition
+    // and exits) and kills after the grace period; a bad frame kills at
+    // once, unless the worker already exited.
+    Clock::time_point kill_at = kNever;
+    if (io == IoStatus::kTimeout) {
+      emit_event("sandbox_kill", worker, budget, "stage", "term");
+      ::kill(worker.pid, SIGTERM);
+      kill_at =
+          Clock::now() + std::chrono::milliseconds(options_.kill_grace_ms);
+    } else if (io == IoStatus::kBadFrame) {
+      kill_at = Clock::now();
     }
-    if (!exited) {
+    int status = 0;
+    const bool exited = reap_by(worker.pid, kill_at, &status);
+    if (!exited && io == IoStatus::kTimeout) {
       emit_event("sandbox_kill", worker, budget, "stage", "kill");
-      retire(worker, SIGKILL);
     }
-    return classify_death(worker, fingerprint, budget,
-                          /*deadline_expired=*/true);
-  }
-  if (status == IoStatus::kEof) {
-    return classify_death(worker, fingerprint, budget,
-                          /*deadline_expired=*/false);
+    Measurement m = classify_death(io, exited ? &status : nullptr, options_);
+    m.config_fingerprint = fingerprint;
+    if (budget != nullptr) {
+      budget->charge(m.fault == FaultClass::kTimeout ? options_.hang_cost
+                                                     : options_.crash_cost);
+    }
+    emit_event("worker_exit", worker, budget, "cause",
+               io == IoStatus::kTimeout
+                   ? std::string("deadline")
+                   : std::string(to_string(m.fault)) + ": " + m.crash_reason);
+    {
+      std::lock_guard stats_lock(stats_mutex_);
+      count_fault(counters_.faults, m.fault);
+    }
+    worker.forget();
+    return m;
   }
 
-  Reply reply;
-  if (status == IoStatus::kOk) {
-    if (!decode_reply(payload, reply) || reply.seq != req.seq ||
-        reply.fingerprint != fingerprint) {
-      status = IoStatus::kTorn;
-    }
-  }
-  if (status == IoStatus::kTorn) {
-    // Either the worker died mid-write (its exit status explains why) or
-    // it is babbling garbage (kill it; classified as a torn reply).
-    int wait_status = 0;
-    if (::waitpid(worker.pid, &wait_status, WNOHANG) != worker.pid) {
-      retire(worker, SIGKILL);
-    } else {
-      // Already reaped: hand classify_death the status via a second
-      // waitpid that will fail, so synthesize from what we saw. Simplest
-      // honest summary: the pipe tore.
-    }
-    return classify_death(worker, fingerprint, budget,
-                          /*deadline_expired=*/false);
-  }
-
-  // Clean reply: rebuild the Measurement exactly as the journal replay
-  // path does — raw times, recomputed summary, exact int64-µs cost.
-  Measurement m;
-  m.config_fingerprint = fingerprint;
-  m.times_ms = std::move(reply.times_ms);
-  m.rep_metrics = std::move(reply.rep_metrics);
-  m.crashed = reply.crashed;
-  m.crash_reason = std::move(reply.crash_reason);
-  m.fault = reply.fault;
-  m.stop = reply.stop;
-  m.attempts = reply.attempts;
-  m.failed_reps = reply.failed_reps;
+  // Clean reply: the worker's measurement, its summary recomputed as the
+  // journal replay path does, and its exact int64-µs cost.
+  Measurement m = std::move(reply.measurement);
   if (!m.times_ms.empty()) m.summary = summarize(m.times_ms);
   if (budget != nullptr && reply.cost_us > 0) {
     budget->charge(SimTime::micros(reply.cost_us));
@@ -898,29 +778,9 @@ void SandboxedEvaluator::shutdown() {
     std::lock_guard lock(worker->mutex);
     if (worker->pid <= 0) continue;
     int status = 0;
-    bool reaped = false;
-    const auto deadline = Clock::now() + std::chrono::milliseconds(500);
-    while (Clock::now() < deadline) {
-      if (::waitpid(worker->pid, &status, WNOHANG) == worker->pid) {
-        reaped = true;
-        break;
-      }
-      struct pollfd pfd = {};
-      pfd.fd = child_exit_pipe().fd();
-      pfd.events = POLLIN;
-      ::poll(&pfd, 1, 10);
-      child_exit_pipe().drain();
-    }
-    if (!reaped) {
-      ::kill(worker->pid, SIGKILL);
-      ::waitpid(worker->pid, &status, 0);
-    }
-    ChildRegistry::remove(worker->pid);
-    if (worker->reply_fd >= 0) {
-      ::close(worker->reply_fd);
-      worker->reply_fd = -1;
-    }
-    worker->pid = -1;
+    reap_by(worker->pid, Clock::now() + std::chrono::milliseconds(500),
+            &status);
+    worker->forget();
   }
   started_ = false;
 }

@@ -22,14 +22,18 @@
 //   in-process path without duplicating any cache logic in the parent.
 //
 // Failure handling
-//   A worker that dies mid-request (EOF on its reply pipe) is reaped and
-//   its exit status classified onto the FaultClass taxonomy (kCrash for
-//   signals and bad exits, kTimeout for SIGXCPU); a worker that exceeds the
-//   wall-clock deadline is escalated SIGTERM → SIGKILL and classified
-//   kTimeout; a torn or checksum-failing reply is kTransient (retryable
-//   infrastructure flake) and the babbling worker is killed. In every case
-//   the worker is respawned lazily and the classified Measurement flows
-//   into ResilientEvaluator's retry/quarantine machinery unchanged.
+//   Every failed request ends its worker the same way: the parent reaps
+//   it, SIGKILLing it first where the cause calls for that, and classifies
+//   the death from the cause it observed. A reply pipe that closes, before
+//   or during a frame, means the worker is exiting; its exit status decides
+//   (kCrash for signals and bad exits, kTimeout for SIGXCPU, kTransient for
+//   a clean exit without a whole reply). An expired wall-clock deadline
+//   escalates SIGTERM → SIGKILL and is kTimeout. A whole frame whose magic,
+//   length, checksum, payload, seq or fingerprint is wrong gets a live
+//   worker killed and is kTransient (a retryable infrastructure flake); a
+//   worker that already exited is classified by its own status. In every
+//   case the worker is respawned lazily and the classified Measurement
+//   flows into ResilientEvaluator's retry/quarantine machinery unchanged.
 //
 // Determinism
 //   On a fault-free run the sandboxed session is bit-identical to the
@@ -44,6 +48,8 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <string>
+#include <string_view>
 #include <vector>
 
 #include "harness/evaluator.hpp"
@@ -77,12 +83,6 @@ struct SandboxFaultInjection {
   std::vector<std::uint64_t> kill_fingerprints;
   std::vector<std::uint64_t> wedge_fingerprints;
   std::vector<std::uint64_t> torn_fingerprints;
-
-  bool any() const {
-    return kill_rate > 0.0 || wedge_rate > 0.0 || torn_rate > 0.0 ||
-           !kill_fingerprints.empty() || !wedge_fingerprints.empty() ||
-           !torn_fingerprints.empty();
-  }
 };
 
 struct SandboxOptions {
@@ -158,11 +158,8 @@ class SandboxedEvaluator : public Evaluator {
 
   void ensure_started();
   void spawn(Worker& worker);
-  void retire(Worker& worker, int kill_sig);
   [[noreturn]] void worker_main(int request_fd, int reply_fd,
                                 std::uint64_t generation);
-  Measurement classify_death(Worker& worker, std::uint64_t fingerprint,
-                             BudgetClock* budget, bool deadline_expired);
   void emit_event(const char* name, const Worker& worker, BudgetClock* budget,
                   const char* key = nullptr, const std::string& value = {});
 
@@ -181,5 +178,42 @@ class SandboxedEvaluator : public Evaluator {
   EvalCounters counters_;
   std::int64_t workers_respawned_ = 0;
 };
+
+/// The two payload codecs, declared for tests that sweep every cut and bit
+/// flip of a frame. Each message's fields are listed once, in wire order
+/// (sandbox.cpp), and encode and decode both walk that list.
+namespace sandbox_wire {
+
+/// Parent to worker: measure one configuration from this budget position.
+struct Request {
+  std::uint64_t seq = 0;           ///< per-worker request number
+  std::uint64_t fingerprint = 0;   ///< of the configuration
+  std::int64_t spent_us = 0;       ///< the parent's budget position
+  std::int64_t total_us = 0;       ///< the parent's budget size
+  std::int64_t time_limit_us = 0;  ///< the runner's time limit
+  double racing_floor_ms = 0.0;
+  EvalHints hints;
+  std::string command_line;  ///< the configuration, re-parsed by the worker
+};
+
+/// Worker to parent: the measurement and what it cost.
+struct Reply {
+  std::uint64_t seq = 0;      ///< the request's
+  std::int64_t cost_us = 0;   ///< exact metered budget cost
+  double racing_floor_ms = 0.0;
+  EvalCounters delta;  ///< change of the wrapped evaluator's counters
+  /// Crosses whole except `summary`, which the parent recomputes from
+  /// times_ms, as journal replay does.
+  Measurement measurement;
+};
+
+std::string encode_request(const Request& request);
+/// False unless `payload` is exactly the encoding of some request.
+bool decode_request(std::string_view payload, Request& request);
+std::string encode_reply(const Reply& reply);
+/// False unless `payload` is exactly the encoding of some reply.
+bool decode_reply(std::string_view payload, Reply& reply);
+
+}  // namespace sandbox_wire
 
 }  // namespace jat

@@ -1,17 +1,22 @@
 // Out-of-process sandbox: the measurements run in forked workers, so these
 // tests exercise real process deaths — SIGKILL mid-measurement, wedged
-// busy-loops escalated by the watchdog, torn replies — and pin the
-// bit-identity contract against the in-process path.
+// busy-loops escalated by the watchdog, torn and garbled replies — and pin
+// the bit-identity contract against the in-process path and the frame
+// codecs against every cut and bit flip.
 //
 // Kept out of the TSan suite (fork + TSan is undefined territory); names
 // deliberately avoid the TSan job's -R filter substrings.
+#include <fcntl.h>
 #include <gtest/gtest.h>
 #include <poll.h>
+#include <signal.h>
 #include <sys/resource.h>
 #include <unistd.h>
 
 #include <cmath>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <variant>
 #include <vector>
 
@@ -37,6 +42,71 @@ WorkloadSpec tiny() {
   w.startup_classes = 800;
   w.noise_sigma = 0.01;
   return w;
+}
+
+/// The reply pipe, when called inside a worker: the only write-only
+/// descriptor above stdio there.
+int worker_reply_pipe() {
+  for (int fd = 3; fd < 1024; ++fd) {
+    const int flags = ::fcntl(fd, F_GETFL);
+    if (flags >= 0 && (flags & O_ACCMODE) == O_WRONLY) return fd;
+  }
+  return -1;
+}
+
+/// Wraps an evaluator, and when asked to measure `target` inside a worker
+/// first writes `bytes` straight onto the worker's reply pipe, then raises
+/// SIGKILL if `die` is set: a worker that garbles or tears its reply.
+class ReplyVandal : public Evaluator {
+ public:
+  ReplyVandal(Evaluator& inner, std::uint64_t target, std::string bytes,
+              bool die)
+      : inner_(&inner), target_(target), bytes_(std::move(bytes)), die_(die) {}
+
+  Measurement measure(const Configuration& config, BudgetClock* budget,
+                      const EvalHints& hints) override {
+    if (config.fingerprint() == target_) {
+      const int fd = worker_reply_pipe();
+      if (fd >= 0 && ::write(fd, bytes_.data(), bytes_.size()) < 0) ::_exit(9);
+      if (die_) ::raise(SIGKILL);
+    }
+    return inner_->measure(config, budget, hints);
+  }
+  using Evaluator::measure;
+  EvalCounters counters() const override { return inner_->counters(); }
+
+ private:
+  Evaluator* inner_;
+  std::uint64_t target_;
+  std::string bytes_;
+  bool die_;
+};
+
+/// Cuts `payload` at every byte and flips each of its bits. Every cut must
+/// be rejected; every flip rejected, or decoded to a message that encodes
+/// back to exactly the flipped bytes. Returns {accepted, rejected} flips.
+template <class Message, class Decode, class Encode>
+std::pair<int, int> sweep_payload(const std::string& payload, Decode decode,
+                                  Encode encode) {
+  for (std::size_t cut = 0; cut < payload.size(); ++cut) {
+    Message message;
+    EXPECT_FALSE(decode(std::string_view(payload).substr(0, cut), message))
+        << "cut at byte " << cut;
+  }
+  int accepted = 0;
+  int rejected = 0;
+  for (std::size_t bit = 0; bit < payload.size() * 8; ++bit) {
+    std::string flipped = payload;
+    flipped[bit / 8] = static_cast<char>(flipped[bit / 8] ^ (1 << (bit % 8)));
+    Message message;
+    if (!decode(flipped, message)) {
+      ++rejected;
+      continue;
+    }
+    ++accepted;
+    EXPECT_EQ(encode(message), flipped) << "bit " << bit;
+  }
+  return {accepted, rejected};
 }
 
 class SandboxTest : public ::testing::Test {
@@ -248,6 +318,118 @@ TEST_F(SandboxTest, TornReplyIsTransientAndRetryRecovers) {
   EXPECT_EQ(sandbox.workers_respawned(), 1);
   EXPECT_EQ(resilient.stats().retry_successes, 1);
   sandbox.shutdown();
+}
+
+// A live worker that sends a garbled frame header is killed by the parent;
+// that SIGKILL is the parent's own doing, not the worker's death, so the
+// request is a retryable flake.
+TEST_F(SandboxTest, GarbledReplyFromALiveWorkerIsTransient) {
+  BenchmarkRunner runner(sim_, workload_);
+  const Configuration target = with_new_ratio(7);
+  ReplyVandal vandal(runner, target.fingerprint(), std::string(16, '\xff'),
+                     /*die=*/false);
+  SandboxOptions options;
+  options.workers = 1;
+  SandboxedEvaluator sandbox(vandal, space_.registry(), options);
+  sandbox.link_runner(&runner);
+  BudgetClock budget(SimTime::minutes(100));
+
+  const Measurement m = sandbox.measure(target, &budget);
+  EXPECT_TRUE(m.crashed);
+  EXPECT_EQ(m.fault, FaultClass::kTransient) << m.crash_reason;
+  EXPECT_EQ(sandbox.counters().faults.crashes, 0);
+  EXPECT_EQ(sandbox.counters().faults.transient, 1);
+  EXPECT_EQ(budget.spent(), options.crash_cost);
+
+  // The respawned worker answers the next request.
+  EXPECT_TRUE(sandbox.measure(defaults(), &budget).valid());
+  EXPECT_EQ(sandbox.workers_respawned(), 1);
+  sandbox.shutdown();
+}
+
+// A worker killed by a signal halfway through its reply died of its own
+// accord: the parent waits for it and reads the signal from its status.
+TEST_F(SandboxTest, SignalDeathMidReplyIsACrash) {
+  BenchmarkRunner runner(sim_, workload_);
+  const Configuration target = with_new_ratio(8);
+  ReplyVandal vandal(runner, target.fingerprint(), std::string(8, 'x'),
+                     /*die=*/true);
+  SandboxOptions options;
+  options.workers = 1;
+  SandboxedEvaluator sandbox(vandal, space_.registry(), options);
+  sandbox.link_runner(&runner);
+  BudgetClock budget(SimTime::minutes(100));
+
+  const Measurement m = sandbox.measure(target, &budget);
+  EXPECT_TRUE(m.crashed);
+  EXPECT_EQ(m.fault, FaultClass::kCrash) << m.crash_reason;
+  EXPECT_NE(m.crash_reason.find("killed by signal 9"), std::string::npos)
+      << m.crash_reason;
+  EXPECT_EQ(sandbox.counters().faults.crashes, 1);
+  EXPECT_TRUE(sandbox.measure(defaults(), &budget).valid());
+  sandbox.shutdown();
+}
+
+// Frames are small, so enumerate rather than sample: every cut and every
+// single-bit flip of a real request and a real 6-repetition reply. A flip
+// with the frame checksum recomputed reaches exactly this decoder.
+TEST_F(SandboxTest, EveryCutOrBitFlipOfAFrameIsRejectedOrRoundTrips) {
+  RunnerOptions runner_options;
+  runner_options.repetitions = 6;
+  BenchmarkRunner runner(sim_, workload_, runner_options);
+  const Configuration config = with_new_ratio(3);
+  BudgetClock budget(SimTime::minutes(100));
+
+  sandbox_wire::Request request;
+  request.seq = 17;
+  request.fingerprint = config.fingerprint();
+  request.spent_us = budget.spent().as_micros();
+  request.total_us = budget.total().as_micros();
+  request.time_limit_us = SimTime::seconds(90).as_micros();
+  request.racing_floor_ms = 123.25;
+  request.hints.incumbent = {4, 101.5, 2.75};
+  request.command_line = config.render_command_line();
+
+  sandbox_wire::Reply reply;
+  reply.seq = request.seq;
+  reply.measurement = runner.measure(config, &budget);
+  reply.measurement.crash_reason = R"(salvaged "-XX:NewRatio=3" after a crash)";
+  reply.measurement.failed_reps = 1;
+  reply.cost_us = budget.spent().as_micros();
+  reply.racing_floor_ms = 99.5;
+  reply.delta = runner.counters();
+  ASSERT_EQ(reply.measurement.times_ms.size(), 6u);
+  ASSERT_EQ(reply.measurement.rep_metrics.size(), 6u);
+
+  const std::string request_payload = sandbox_wire::encode_request(request);
+  const std::string reply_payload = sandbox_wire::encode_reply(reply);
+  sandbox_wire::Request request_back;
+  ASSERT_TRUE(sandbox_wire::decode_request(request_payload, request_back));
+  EXPECT_EQ(request_back.command_line, request.command_line);
+  EXPECT_EQ(request_back.hints.incumbent.m2, request.hints.incumbent.m2);
+  sandbox_wire::Reply reply_back;
+  ASSERT_TRUE(sandbox_wire::decode_reply(reply_payload, reply_back));
+  EXPECT_EQ(reply_back.measurement.times_ms, reply.measurement.times_ms);
+  EXPECT_EQ(reply_back.measurement.rep_metrics, reply.measurement.rep_metrics);
+  EXPECT_EQ(reply_back.measurement.crash_reason,
+            reply.measurement.crash_reason);
+  EXPECT_EQ(reply_back.delta.runs, 6);
+  EXPECT_EQ(sandbox_wire::encode_reply(reply_back), reply_payload);
+
+  const auto [request_accepted, request_rejected] =
+      sweep_payload<sandbox_wire::Request>(request_payload,
+                                           sandbox_wire::decode_request,
+                                           sandbox_wire::encode_request);
+  const auto [reply_accepted, reply_rejected] =
+      sweep_payload<sandbox_wire::Reply>(reply_payload,
+                                         sandbox_wire::decode_reply,
+                                         sandbox_wire::encode_reply);
+  // Both outcomes occur: raw doubles take any bits, while bools, enums and
+  // counts reject most of theirs.
+  EXPECT_GT(request_accepted, 0);
+  EXPECT_GT(request_rejected, 0);
+  EXPECT_GT(reply_accepted, 0);
+  EXPECT_GT(reply_rejected, 0);
 }
 
 TEST_F(SandboxTest, RepeatedCrashesQuarantineTheFingerprint) {

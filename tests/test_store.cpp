@@ -24,6 +24,7 @@
 #include <vector>
 
 #include <sys/stat.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include "determinism_matrix.hpp"
@@ -332,6 +333,67 @@ TEST_F(StoreTest, FailedAppendNeverSwallowsAnotherHandlesRecord) {
   EXPECT_EQ(reopened->stats().records, 2);
   EXPECT_NE(reopened->lookup({1, 2, 10, "run_time"}), nullptr);
   EXPECT_NE(reopened->lookup({1, 2, 11, "run_time"}), nullptr);
+}
+
+// Forked writers share one store opened before the fork, the path sandbox
+// workers take: each reopens its own descriptor on its first append. Forked
+// readers meanwhile take read-only snapshots, which must only ever see whole
+// lines and a file that never shrinks.
+TEST_F(StoreTest, ForkedWritersAndSnapshotReadersShareOneFile) {
+  constexpr int kWriters = 4;
+  constexpr int kDistinct = 150;
+  constexpr int kShared = 20;
+  constexpr int kReaders = 2;
+  constexpr int kSnapshots = 40;
+  const std::string dir = temp_dir("forked_writers");
+  auto store = ResultStore::open(dir);
+  std::vector<pid_t> children;
+  for (int w = 0; w < kWriters; ++w) {
+    const pid_t pid = ::fork();
+    ASSERT_GE(pid, 0);
+    if (pid == 0) {
+      for (int i = 0; i < kDistinct; ++i) {
+        store->put(make_record(1, 2, 1000 * (w + 1) + i, 100.0 + i));
+      }
+      // Shared keys: writer w brings 1 + w repetitions, so w = 3 must win.
+      for (int k = 0; k < kShared; ++k) {
+        store->put(make_record(1, 2, k, 50.0 + k, 1 + w));
+      }
+      ::_exit(store->stats().appends == kDistinct + kShared ? 0 : 1);
+    }
+    children.push_back(pid);
+  }
+  for (int r = 0; r < kReaders; ++r) {
+    const pid_t pid = ::fork();
+    ASSERT_GE(pid, 0);
+    if (pid == 0) {
+      std::int64_t loaded = 0;
+      for (int i = 0; i < kSnapshots; ++i) {
+        const StoreStats snapshot =
+            ResultStore::open(dir, {.read_only = true})->stats();
+        if (snapshot.dropped != 0 || snapshot.loaded < loaded) ::_exit(1);
+        loaded = snapshot.loaded;
+      }
+      ::_exit(0);
+    }
+    children.push_back(pid);
+  }
+  for (const pid_t pid : children) {
+    int status = 0;
+    ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+    EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0)
+        << "child " << pid << " status " << status;
+  }
+
+  auto merged = ResultStore::open(dir, {.read_only = true});
+  EXPECT_EQ(merged->stats().dropped, 0);
+  EXPECT_EQ(merged->stats().records, kWriters * kDistinct + kShared);
+  for (int k = 0; k < kShared; ++k) {
+    const StoreRecord* record =
+        merged->lookup({1, 2, static_cast<std::uint64_t>(k), "run_time"});
+    ASSERT_NE(record, nullptr);
+    EXPECT_EQ(record->times_ms.size(), static_cast<std::size_t>(kWriters));
+  }
 }
 
 // ---------------------------------------------------------------------------
