@@ -7,6 +7,8 @@
 // a single objective for "general configuration" tuning.
 #pragma once
 
+#include <cstdint>
+
 #include "flags/configuration.hpp"
 #include "harness/budget.hpp"
 #include "harness/measure_policy.hpp"
@@ -36,15 +38,23 @@ class Evaluator {
   virtual ~Evaluator() = default;
 
   /// Measures a configuration, charging `budget` (when given) for the
-  /// simulated time actually consumed. Must be thread-safe.
-  virtual Measurement measure(const Configuration& config, BudgetClock* budget,
+  /// simulated time actually consumed. Must be thread-safe. `fingerprint`
+  /// is `config.fingerprint()`, which the caller already holds: the
+  /// scheduler computes it once at dispatch, and every layer hands the one
+  /// it received down unchanged instead of recomputing it.
+  virtual Measurement measure(const Configuration& config,
+                              std::uint64_t fingerprint, BudgetClock* budget,
                               const EvalHints& hints) = 0;
 
-  /// Convenience entry without hints. Derived classes re-expose it with
-  /// `using Evaluator::measure;`.
+  /// Convenience entries that fingerprint the configuration themselves.
+  /// Derived classes re-expose them with `using Evaluator::measure;`.
+  Measurement measure(const Configuration& config, BudgetClock* budget,
+                      const EvalHints& hints) {
+    return measure(config, config.fingerprint(), budget, hints);
+  }
   Measurement measure(const Configuration& config,
                       BudgetClock* budget = nullptr) {
-    return measure(config, budget, EvalHints{});
+    return measure(config, config.fingerprint(), budget, EvalHints{});
   }
 
   /// This layer's counters plus those of every layer below it. Snapshot;

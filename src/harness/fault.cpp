@@ -109,9 +109,9 @@ Measurement FaultInjectingEvaluator::injected_crash(std::uint64_t fingerprint,
 }
 
 Measurement FaultInjectingEvaluator::measure(const Configuration& config,
+                                             std::uint64_t fingerprint,
                                              BudgetClock* budget,
                                              const EvalHints& hints) {
-  const std::uint64_t fingerprint = config.fingerprint();
   std::uint64_t attempt;
   bool listed_crasher;
   {
@@ -143,7 +143,7 @@ Measurement FaultInjectingEvaluator::measure(const Configuration& config,
                           options_.failure_cost, budget);
   }
 
-  Measurement m = inner_->measure(config, budget, hints);
+  Measurement m = inner_->measure(config, fingerprint, budget, hints);
   if (!m.crashed && attempt_rng.chance(options_.latency_spike_rate)) {
     for (double& t : m.times_ms) t *= options_.latency_spike_factor;
     m.summary = summarize(m.times_ms);

@@ -143,8 +143,8 @@ class FaultInjectingEvaluator : public Evaluator {
  public:
   FaultInjectingEvaluator(Evaluator& inner, FaultOptions options = {});
 
-  Measurement measure(const Configuration& config, BudgetClock* budget,
-                      const EvalHints& hints) override;
+  Measurement measure(const Configuration& config, std::uint64_t fingerprint,
+                      BudgetClock* budget, const EvalHints& hints) override;
   using Evaluator::measure;
 
   /// Marks a fingerprint as always-crashing, in addition to the ones the

@@ -50,9 +50,9 @@ bool ResilientEvaluator::is_quarantined(std::uint64_t fingerprint) const {
 }
 
 Measurement ResilientEvaluator::measure(const Configuration& config,
+                                        std::uint64_t fingerprint,
                                         BudgetClock* budget,
                                         const EvalHints& hints) {
-  const std::uint64_t fingerprint = config.fingerprint();
   {
     std::lock_guard lock(mutex_);
     const auto it = records_.find(fingerprint);
@@ -79,7 +79,7 @@ Measurement ResilientEvaluator::measure(const Configuration& config,
   int attempt = 0;
   FaultClass recovered_from = FaultClass::kNone;
   for (;;) {
-    m = inner_->measure(config, budget, hints);
+    m = inner_->measure(config, fingerprint, budget, hints);
     if (!m.crashed) break;
 
     bool retry;

@@ -48,8 +48,8 @@ class ResilientEvaluator : public Evaluator {
  public:
   ResilientEvaluator(Evaluator& inner, ResilienceOptions options = {});
 
-  Measurement measure(const Configuration& config, BudgetClock* budget,
-                      const EvalHints& hints) override;
+  Measurement measure(const Configuration& config, std::uint64_t fingerprint,
+                      BudgetClock* budget, const EvalHints& hints) override;
   using Evaluator::measure;
 
   /// Counters for the recovery actions taken so far (snapshot; thread-safe).

@@ -16,6 +16,16 @@ namespace {
 constexpr double kCacheHitOverheadSeconds = 0.05;
 }  // namespace
 
+const std::string& ConfigDecode::fatal() {
+  if (!fatal_) fatal_ = first_fatal(*config_);
+  return *fatal_;
+}
+
+const JvmParams& ConfigDecode::params() {
+  if (!params_) params_ = decode_params(*config_);
+  return *params_;
+}
+
 BenchmarkRunner::BenchmarkRunner(const JvmSimulator& simulator,
                                  WorkloadSpec workload, RunnerOptions options)
     : simulator_(&simulator), workload_(std::move(workload)), options_(options) {
@@ -119,9 +129,18 @@ void BenchmarkRunner::store_put(const Configuration& config,
 }
 
 Measurement BenchmarkRunner::measure(const Configuration& config,
+                                     std::uint64_t fingerprint,
                                      BudgetClock* budget,
                                      const EvalHints& hints) {
-  const std::uint64_t fingerprint = config.fingerprint();
+  ConfigDecode decode(config);
+  return measure_with(config, fingerprint, budget, hints, decode);
+}
+
+Measurement BenchmarkRunner::measure_with(const Configuration& config,
+                                          std::uint64_t fingerprint,
+                                          BudgetClock* budget,
+                                          const EvalHints& hints,
+                                          ConfigDecode& decode) {
   Measurement base;
   bool continuing = false;
   {
@@ -171,8 +190,8 @@ Measurement BenchmarkRunner::measure(const Configuration& config,
 
   // A measurement that throws leaves no cache entry: a later call
   // re-measures.
-  Measurement measurement = measure_uncached(config, fingerprint, budget, hints,
-                                             continuing ? &base : nullptr);
+  Measurement measurement = measure_uncached(
+      fingerprint, budget, hints, continuing ? &base : nullptr, decode);
   {
     std::lock_guard lock(mutex_);
     cache_.emplace(fingerprint, measurement);
@@ -181,11 +200,11 @@ Measurement BenchmarkRunner::measure(const Configuration& config,
   return measurement;
 }
 
-Measurement BenchmarkRunner::measure_uncached(const Configuration& config,
-                                              std::uint64_t fingerprint,
+Measurement BenchmarkRunner::measure_uncached(std::uint64_t fingerprint,
                                               BudgetClock* budget,
                                               const EvalHints& hints,
-                                              const Measurement* base) {
+                                              const Measurement* base,
+                                              ConfigDecode& decode) {
   Measurement m;
   m.config_fingerprint = fingerprint;
   const Objective& objective =
@@ -222,7 +241,7 @@ Measurement BenchmarkRunner::measure_uncached(const Configuration& config,
   // simulates once, at its first repetition, and each repetition is a copy
   // of that trajectory with its own seed's noise, which equals
   // JvmSimulator::run(config, workload_, seed) bit for bit.
-  const std::string fatal = first_fatal(config);
+  const std::string& fatal = decode.fatal();
   std::optional<Trajectory> trajectory;
 
   for (int rep = start_rep; rep < planned; ++rep) {
@@ -236,7 +255,7 @@ Measurement BenchmarkRunner::measure_uncached(const Configuration& config,
         mix64(options_.seed, mix64(fingerprint, static_cast<std::uint64_t>(rep)));
     const bool simulating = fatal.empty() && !trajectory;
     if (simulating) {
-      trajectory = simulator_->simulate(decode_params(config), workload_);
+      trajectory = simulator_->simulate(decode.params(), workload_);
     }
     RunResult run = trajectory ? noised(*trajectory, workload_, seed)
                                : refused_start(fatal);

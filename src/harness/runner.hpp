@@ -6,6 +6,8 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <optional>
+#include <string>
 #include <unordered_map>
 
 #include "flags/configuration.hpp"
@@ -66,6 +68,26 @@ struct RunnerOptions {
   bool store_reads = true;
 };
 
+/// What measuring a configuration takes from the configuration alone: the
+/// start check and the decoded simulator parameters. Each is computed on
+/// first use and at most once, so the members of one suite evaluation share
+/// them (SuiteRunner) and a cache hit computes neither. One evaluation on
+/// one thread; `config` must outlive it.
+class ConfigDecode {
+ public:
+  explicit ConfigDecode(const Configuration& config) : config_(&config) {}
+
+  /// first_fatal(config): empty when the VM starts.
+  const std::string& fatal();
+  /// decode_params(config); only for a configuration whose fatal() is empty.
+  const JvmParams& params();
+
+ private:
+  const Configuration* config_;
+  std::optional<std::string> fatal_;
+  std::optional<JvmParams> params_;
+};
+
 class BenchmarkRunner : public Evaluator {
  public:
   BenchmarkRunner(const JvmSimulator& simulator, WorkloadSpec workload,
@@ -85,9 +107,16 @@ class BenchmarkRunner : public Evaluator {
   /// measurement asked for with `hints.top_up` is continued — further
   /// repetitions, with seed continuity, merged into the cached ones —
   /// instead of answered from the cache.
-  Measurement measure(const Configuration& config, BudgetClock* budget,
-                      const EvalHints& hints) override;
+  Measurement measure(const Configuration& config, std::uint64_t fingerprint,
+                      BudgetClock* budget, const EvalHints& hints) override;
   using Evaluator::measure;
+
+  /// measure(), taking the start check and the decode from `decode` (of
+  /// `config`), which runners measuring one configuration on different
+  /// workloads share; a cache miss fills what it needs.
+  Measurement measure_with(const Configuration& config,
+                           std::uint64_t fingerprint, BudgetClock* budget,
+                           const EvalHints& hints, ConfigDecode& decode);
 
   /// Abandons runs whose simulated time exceeds `limit` — they come back
   /// crashed ("harness timeout") and are charged only the limit. Sessions
@@ -146,18 +175,17 @@ class BenchmarkRunner : public Evaluator {
   EvalCounters counters() const override;
 
  private:
-  /// Runs the repetition loop for `config`, whose fingerprint measure()
-  /// already computed. The start check runs once, before the loop; the
-  /// decode and the simulation run once, at the first repetition of a
-  /// startable configuration, and every repetition noises a copy of that
-  /// one trajectory with its own seed.
+  /// Runs the repetition loop for `config`. The start check runs once,
+  /// before the loop; the decode and the simulation run once, at the first
+  /// repetition of a startable configuration, and every repetition noises a
+  /// copy of that one trajectory with its own seed. `decode` supplies the
+  /// start check and the decode.
   /// `base` (may be null) is a previous partial measurement to continue
   /// from: repetitions resume at its count, so the merged result is
   /// bit-identical to a from-scratch full measurement.
-  Measurement measure_uncached(const Configuration& config,
-                               std::uint64_t fingerprint, BudgetClock* budget,
-                               const EvalHints& hints,
-                               const Measurement* base);
+  Measurement measure_uncached(std::uint64_t fingerprint, BudgetClock* budget,
+                               const EvalHints& hints, const Measurement* base,
+                               ConfigDecode& decode);
 
   /// Store read-through on a cache miss (mutex_ held): when the store has
   /// this key, inserts the rebuilt measurement into cache_ and returns it.

@@ -3,6 +3,7 @@
 #include <poll.h>
 #include <signal.h>
 #include <string.h>
+#include <sys/prctl.h>
 #include <sys/resource.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -450,6 +451,7 @@ void SandboxedEvaluator::spawn(Worker& worker) {
   // it here (or wait for the thread building it) so that no worker forks
   // with the table half-built and then blocks on it forever.
   (void)registry_->default_fingerprint_terms();
+  const pid_t parent = ::getpid();
   const pid_t pid = ::fork();
   if (pid < 0) {
     ::close(request_pipe[0]);
@@ -459,7 +461,7 @@ void SandboxedEvaluator::spawn(Worker& worker) {
     throw Error("sandbox: fork() failed: " + std::string(::strerror(errno)));
   }
   if (pid == 0) {
-    worker_main(request_pipe[0], reply_pipe[1], worker.generation);
+    worker_main(parent, request_pipe[0], reply_pipe[1], worker.generation);
   }
   ::close(request_pipe[0]);
   ::close(reply_pipe[1]);
@@ -470,8 +472,19 @@ void SandboxedEvaluator::spawn(Worker& worker) {
   emit_event("sandbox_spawn", worker, nullptr);
 }
 
-[[noreturn]] void SandboxedEvaluator::worker_main(int request_fd, int reply_fd,
+[[noreturn]] void SandboxedEvaluator::worker_main(pid_t parent, int request_fd,
+                                                  int reply_fd,
                                                   std::uint64_t generation) {
+  // Die with the parent. A worker blocked on its request pipe sees the
+  // parent go as EOF, but a wedged or busy one would run on as an orphan.
+  // The signal follows the thread that forked this process, so every fork
+  // runs on a thread that outlives its worker: the first spawn on the
+  // thread that first measures, respawns on the measuring threads, which a
+  // session keeps alive past shutdown(). A parent that died before prctl()
+  // took effect shows as a changed parent pid.
+  ::prctl(PR_SET_PDEATHSIG, SIGKILL);
+  if (::getppid() != parent) ::_exit(0);
+
   // Drop every descriptor the parent was holding — sibling pipes (so a
   // sibling's EOF is seen the moment it dies), journal, trace, result-db
   // files. Only our two pipe ends and stdio survive.
@@ -573,12 +586,16 @@ void SandboxedEvaluator::spawn(Worker& worker) {
     sandbox_wire::Reply reply;
     reply.seq = req.seq;
     try {
-      reply.measurement = inner_->measure(
-          parse_command_line(*registry_, req.command_line), &meter, req.hints);
+      // Fingerprinted once, here: a configuration that does not reproduce
+      // the request's fingerprint is refused before it is measured.
+      const Configuration config =
+          parse_command_line(*registry_, req.command_line);
+      if (config.fingerprint() != req.fingerprint) ::_exit(6);
+      reply.measurement =
+          inner_->measure(config, req.fingerprint, &meter, req.hints);
     } catch (...) {
-      ::_exit(7);  // the parent classifies this death as kCrash
+      ::_exit(7);  // the parent classifies both deaths as kCrash
     }
-    if (reply.measurement.config_fingerprint != req.fingerprint) ::_exit(6);
     reply.cost_us = meter.metered().as_micros();
     reply.delta = inner_->counters();
     reply.delta -= before;
@@ -622,10 +639,10 @@ void SandboxedEvaluator::emit_event(const char* name, const Worker& worker,
 }
 
 Measurement SandboxedEvaluator::measure(const Configuration& config,
+                                        std::uint64_t fingerprint,
                                         BudgetClock* budget,
                                         const EvalHints& hints) {
   ensure_started();
-  const std::uint64_t fingerprint = config.fingerprint();
   // Fingerprint routing: repeats land on the worker whose copy-on-write
   // result cache already holds them, so cache-hit accounting matches the
   // in-process path exactly.

@@ -14,9 +14,11 @@
 //   Each request travels over a pipe as a length-prefixed, FNV-1a-checksummed
 //   binary frame carrying the configuration's command line, fingerprint, and
 //   the parent's budget position; the worker re-parses the configuration,
-//   runs the wrapped Evaluator against a shadow budget primed to the
-//   parent's position, and replies with the serialized Measurement plus its
-//   exact metered cost. Requests route to worker `fingerprint % pool_size`,
+//   refuses it unless it reproduces the request's fingerprint, runs the
+//   wrapped Evaluator against a shadow budget primed to the parent's
+//   position, and replies with the serialized Measurement plus its exact
+//   metered cost. A worker dies with the thread that forked it (and so with
+//   its parent process). Requests route to worker `fingerprint % pool_size`,
 //   so repeat fingerprints land on the worker whose (copy-on-write) result
 //   cache already holds them — cache-hit accounting is bit-identical to the
 //   in-process path without duplicating any cache logic in the parent.
@@ -124,8 +126,8 @@ class SandboxedEvaluator : public Evaluator {
                      SandboxOptions options = {});
   ~SandboxedEvaluator() override;
 
-  Measurement measure(const Configuration& config, BudgetClock* budget,
-                      const EvalHints& hints) override;
+  Measurement measure(const Configuration& config, std::uint64_t fingerprint,
+                      BudgetClock* budget, const EvalHints& hints) override;
   using Evaluator::measure;
 
   /// Links the BenchmarkRunner at the bottom of the wrapped chain (when
@@ -158,7 +160,7 @@ class SandboxedEvaluator : public Evaluator {
 
   void ensure_started();
   void spawn(Worker& worker);
-  [[noreturn]] void worker_main(int request_fd, int reply_fd,
+  [[noreturn]] void worker_main(pid_t parent, int request_fd, int reply_fd,
                                 std::uint64_t generation);
   void emit_event(const char* name, const Worker& worker, BudgetClock* budget,
                   const char* key = nullptr, const std::string& value = {});

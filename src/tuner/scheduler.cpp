@@ -37,11 +37,13 @@ void EvalScheduler::dispatch(Proposal proposal) {
   if (ThreadPool* pool = ctx_->pool();
       pool != nullptr && !flight.replay && !in_window()) {
     // The lambda must not touch the InFlight entry (the deque reallocates);
-    // copy the configuration and hints into the task.
+    // copy the configuration, its fingerprint and the hints into the task.
     Configuration config = flight.config;
-    flight.pending = pool->submit(
-        [this, config = std::move(config), hints = flight.hints]() mutable {
-          return ctx_->measure_only(config, hints);
+    flight.pending =
+        pool->submit([this, config = std::move(config),
+                      fingerprint = flight.fingerprint,
+                      hints = flight.hints]() mutable {
+          return ctx_->measure_only(config, fingerprint, hints);
         });
   }
   if (ctx_->tracing()) {
@@ -64,8 +66,9 @@ void EvalScheduler::deliver(SearchStrategy& strategy) {
   window_.pop_front();
   TuningContext::MeasuredEval result =
       flight.replay            ? ctx_->replay_next(flight.fingerprint)
-      : flight.pending.valid() ? flight.pending.get()
-                               : ctx_->measure_only(flight.config, flight.hints);
+      : flight.pending.valid()
+          ? flight.pending.get()
+          : ctx_->measure_only(flight.config, flight.fingerprint, flight.hints);
   // commit() may top up a raced-out result; it updates `result` in place so
   // the committed ledger below folds in the extra charge.
   const double objective = ctx_->commit(flight.config, flight.fingerprint,

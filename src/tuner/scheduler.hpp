@@ -70,7 +70,8 @@ class EvalScheduler {
     std::string phase;
     Configuration config;
     /// config.fingerprint(), computed once at dispatch and reused by the
-    /// trace events, replay, commit, and the observation.
+    /// trace events, replay, the evaluator stack, commit, and the
+    /// observation.
     std::uint64_t fingerprint;
     /// True when this proposal's result is answered from the journal
     /// (resume replay) instead of being measured.

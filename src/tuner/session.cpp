@@ -303,9 +303,9 @@ TuningOutcome run_session(const SessionOptions& options, const JournalMeta& meta
   const Configuration defaults(space.registry());
   const std::uint64_t defaults_fp = defaults.fingerprint();
   const bool base_replayed = ctx.replaying();
-  TuningContext::MeasuredEval base = base_replayed
-                                         ? ctx.replay_next(defaults_fp)
-                                         : ctx.measure_only(defaults);
+  TuningContext::MeasuredEval base =
+      base_replayed ? ctx.replay_next(defaults_fp)
+                    : ctx.measure_only(defaults, defaults_fp);
   const double default_ms =
       ctx.commit(defaults, defaults_fp, base, base_replayed);
   if (trace != nullptr) {

@@ -62,24 +62,34 @@ void SuiteRunner::reseed_cache(const Configuration& config) {
   for (auto& runner : runners_) runner->reseed_cache(config);
 }
 
-std::vector<double> SuiteRunner::measure_each(const Configuration& config,
-                                              BudgetClock* budget) {
+std::vector<double> SuiteRunner::measure_members(const Configuration& config,
+                                                 std::uint64_t fingerprint,
+                                                 BudgetClock* budget) {
   const Objective& obj = objective_ ? *objective_ : run_time_objective();
+  ConfigDecode decode(config);
   std::vector<double> out;
   out.reserve(runners_.size());
   for (auto& runner : runners_) {
-    out.push_back(runner->measure(config, budget).objective(obj));
+    out.push_back(
+        runner->measure_with(config, fingerprint, budget, EvalHints{}, decode)
+            .objective(obj));
   }
   return out;
 }
 
+std::vector<double> SuiteRunner::measure_each(const Configuration& config,
+                                              BudgetClock* budget) {
+  return measure_members(config, config.fingerprint(), budget);
+}
+
 Measurement SuiteRunner::measure(const Configuration& config,
+                                 std::uint64_t fingerprint,
                                  BudgetClock* budget,
                                  const EvalHints& /*hints*/) {
   Measurement m;
-  m.config_fingerprint = config.fingerprint();
+  m.config_fingerprint = fingerprint;
   double log_sum = 0;
-  const auto times = measure_each(config, budget);
+  const auto times = measure_members(config, fingerprint, budget);
   for (std::size_t i = 0; i < times.size(); ++i) {
     if (!std::isfinite(times[i])) {
       m.crashed = true;

@@ -36,8 +36,8 @@ class SuiteRunner : public Evaluator {
   /// normalised score (not milliseconds), so the incumbent snapshot is
   /// never forwarded to member runners — units would not match — and suite
   /// measurements always report StopReason::kFull (no suite-level top-up).
-  Measurement measure(const Configuration& config, BudgetClock* budget,
-                      const EvalHints& hints) override;
+  Measurement measure(const Configuration& config, std::uint64_t fingerprint,
+                      BudgetClock* budget, const EvalHints& hints) override;
   using Evaluator::measure;
 
   /// Forwards a cancellation token to every member runner (see
@@ -65,6 +65,14 @@ class SuiteRunner : public Evaluator {
   EvalCounters counters() const override;
 
  private:
+  /// The member loop measure() and measure_each() share: every member's
+  /// objective value, in member order, through one ConfigDecode, so the
+  /// start check and the decode run at most once per evaluation, in the
+  /// first member that misses its cache.
+  std::vector<double> measure_members(const Configuration& config,
+                                      std::uint64_t fingerprint,
+                                      BudgetClock* budget);
+
   std::vector<std::unique_ptr<BenchmarkRunner>> runners_;
   std::vector<double> default_ms_;
   std::shared_ptr<const Objective> objective_;

@@ -29,9 +29,11 @@ void TuningContext::set_phase(std::string phase) {
 }
 
 TuningContext::MeasuredEval TuningContext::measure_only(
-    const Configuration& config, const EvalHints& hints) {
+    const Configuration& config, std::uint64_t fingerprint,
+    const EvalHints& hints) {
   MeteredBudget meter(budget_);
-  Measurement measurement = evaluator_->measure(config, &meter, hints);
+  Measurement measurement =
+      evaluator_->measure(config, fingerprint, &meter, hints);
   return MeasuredEval{std::move(measurement), meter.metered()};
 }
 
@@ -107,7 +109,8 @@ double TuningContext::commit(const Configuration& config,
     if (candidate) {
       hints.top_up = true;
       MeteredBudget meter(budget_);
-      Measurement extended = evaluator_->measure(config, &meter, hints);
+      Measurement extended =
+          evaluator_->measure(config, fingerprint, &meter, hints);
       applied.cost += meter.metered();
       if (trace_ != nullptr) {
         const std::int64_t added =

@@ -69,16 +69,14 @@ class TuningContext {
 
   /// Measures without recording: safe to call from worker threads. The
   /// returned cost is the exact budget charge of this measurement (metered
-  /// through every evaluator layer).
-  MeasuredEval measure_only(const Configuration& config) {
-    return measure_only(config, EvalHints{});
-  }
-  /// Like measure_only(), forwarding `hints` (incumbent snapshot / top-up
-  /// request) to the evaluator chain. The scheduler captures hints at
-  /// dispatch time on the control thread, so the racing decisions inside a
-  /// measurement are independent of eval_threads.
+  /// through every evaluator layer). `fingerprint` is `config.fingerprint()`,
+  /// computed once by the caller and handed down the evaluator chain with
+  /// `hints` (incumbent snapshot / top-up request). The scheduler captures
+  /// hints at dispatch time on the control thread, so the racing decisions
+  /// inside a measurement are independent of eval_threads.
   MeasuredEval measure_only(const Configuration& config,
-                            const EvalHints& hints);
+                            std::uint64_t fingerprint,
+                            const EvalHints& hints = EvalHints{});
 
   /// Commits a completed evaluation: journals it (WAL order — the record is
   /// durable before the result is applied), then record()s it. `replayed`

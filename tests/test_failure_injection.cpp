@@ -48,8 +48,9 @@ FaultOptions transient_only(double rate, std::uint64_t seed = 99) {
 void commit_defaults(TuningContext& ctx, const SearchSpace& space) {
   ctx.set_phase("default");
   const Configuration defaults(space.registry());
-  TuningContext::MeasuredEval base = ctx.measure_only(defaults);
-  ctx.commit(defaults, defaults.fingerprint(), base, /*replayed=*/false);
+  const std::uint64_t fingerprint = defaults.fingerprint();
+  TuningContext::MeasuredEval base = ctx.measure_only(defaults, fingerprint);
+  ctx.commit(defaults, fingerprint, base, /*replayed=*/false);
 }
 
 class FailureInjection : public ::testing::Test {

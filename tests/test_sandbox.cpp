@@ -10,12 +10,18 @@
 #include <gtest/gtest.h>
 #include <poll.h>
 #include <signal.h>
+#include <sys/prctl.h>
 #include <sys/resource.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
+#include <chrono>
 #include <cmath>
+#include <fstream>
+#include <sstream>
 #include <string>
 #include <string_view>
+#include <thread>
 #include <utility>
 #include <variant>
 #include <vector>
@@ -54,6 +60,26 @@ int worker_reply_pipe() {
   return -1;
 }
 
+/// Clock ticks of CPU time `pid` has used (/proc/<pid>/stat fields 14 and
+/// 15), or -1 when it cannot be read.
+long cpu_ticks(pid_t pid) {
+  std::ifstream in("/proc/" + std::to_string(pid) + "/stat");
+  std::string stat;
+  if (!std::getline(in, stat) || stat.rfind(')') == std::string::npos) {
+    return -1;
+  }
+  // After the command name: state, then fields 4..13, then utime, stime.
+  std::istringstream fields(stat.substr(stat.rfind(')') + 1));
+  std::string state;
+  fields >> state;
+  long value = 0;
+  for (int field = 4; field <= 13; ++field) fields >> value;
+  long utime = 0;
+  long stime = 0;
+  if (!(fields >> utime >> stime)) return -1;
+  return utime + stime;
+}
+
 /// Wraps an evaluator, and when asked to measure `target` inside a worker
 /// first writes `bytes` straight onto the worker's reply pipe, then raises
 /// SIGKILL if `die` is set: a worker that garbles or tears its reply.
@@ -63,14 +89,14 @@ class ReplyVandal : public Evaluator {
               bool die)
       : inner_(&inner), target_(target), bytes_(std::move(bytes)), die_(die) {}
 
-  Measurement measure(const Configuration& config, BudgetClock* budget,
-                      const EvalHints& hints) override {
-    if (config.fingerprint() == target_) {
+  Measurement measure(const Configuration& config, std::uint64_t fingerprint,
+                      BudgetClock* budget, const EvalHints& hints) override {
+    if (fingerprint == target_) {
       const int fd = worker_reply_pipe();
       if (fd >= 0 && ::write(fd, bytes_.data(), bytes_.size()) < 0) ::_exit(9);
       if (die_) ::raise(SIGKILL);
     }
-    return inner_->measure(config, budget, hints);
+    return inner_->measure(config, fingerprint, budget, hints);
   }
   using Evaluator::measure;
   EvalCounters counters() const override { return inner_->counters(); }
@@ -293,6 +319,86 @@ TEST_F(SandboxTest, WedgedWorkerIsEscalatedAndClassifiedAsTimeout) {
   // Still operational afterwards.
   EXPECT_TRUE(sandbox.measure(defaults(), &budget).valid());
   sandbox.shutdown();
+}
+
+// A worker dies with its parent. A forked child process starts a sandbox,
+// reports its worker's pid, and sends it a configuration that wedges it
+// with the watchdog off, so nothing but the worker's end can stop it; then
+// the child is SIGKILLed. This process is a child subreaper meanwhile, so
+// the orphaned worker is re-parented here, where it can be waited for and,
+// should it outlive the deadline, killed.
+TEST_F(SandboxTest, WorkerDiesWithAParentKilledMidMeasurement) {
+  const Configuration wedged = with_new_ratio(6);
+  ASSERT_EQ(::prctl(PR_SET_CHILD_SUBREAPER, 1), 0);
+  int report[2] = {-1, -1};
+  ASSERT_EQ(::pipe(report), 0);
+  const pid_t child = ::fork();
+  ASSERT_GE(child, 0);
+  if (child == 0) {
+    ::close(report[0]);
+    BenchmarkRunner runner(sim_, workload_);
+    SandboxOptions options;
+    options.workers = 1;
+    options.inject.wedge_fingerprints = {wedged.fingerprint()};
+    SandboxedEvaluator sandbox(runner, space_.registry(), options);
+    sandbox.link_runner(&runner);
+    TraceSink trace;
+    sandbox.set_trace_sink(&trace);
+    if (!sandbox.measure(defaults()).valid()) ::_exit(2);
+    const std::vector<TraceEvent> spawns = trace.events_of("sandbox_spawn");
+    if (spawns.size() != 1) ::_exit(3);
+    const pid_t worker = static_cast<pid_t>(spawns[0].get_int("pid"));
+    if (::write(report[1], &worker, sizeof worker) != sizeof worker) ::_exit(4);
+    sandbox.measure(wedged);  // never returns
+    ::_exit(5);
+  }
+  ::close(report[1]);
+  // Whatever happens below, nothing this test started outlives it.
+  struct Cleanup {
+    pid_t child;
+    pid_t worker = -1;
+    int report;
+    ~Cleanup() {
+      for (const pid_t pid : {child, worker}) {
+        if (pid <= 0) continue;
+        ::kill(pid, SIGKILL);
+        ::waitpid(pid, nullptr, 0);
+      }
+      ::close(report);
+      ::prctl(PR_SET_CHILD_SUBREAPER, 0);
+    }
+  } cleanup{child, -1, report[0]};
+
+  pid_t worker = -1;
+  ASSERT_EQ(::read(report[0], &worker, sizeof worker),
+            static_cast<ssize_t>(sizeof worker));
+  ASSERT_GT(worker, 0);
+  cleanup.worker = worker;
+
+  // Wait until the worker spins: 20 ticks of CPU time after the report.
+  using Clock = std::chrono::steady_clock;
+  const long start_ticks = cpu_ticks(worker);
+  ASSERT_GE(start_ticks, 0);
+  const auto spin_by = Clock::now() + std::chrono::seconds(20);
+  while (cpu_ticks(worker) < start_ticks + 20 && Clock::now() < spin_by) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  ASSERT_GE(cpu_ticks(worker), start_ticks + 20) << "the worker never wedged";
+
+  ASSERT_EQ(::kill(child, SIGKILL), 0);
+  ASSERT_EQ(::waitpid(child, nullptr, 0), child);
+  cleanup.child = -1;
+
+  const auto gone_by = Clock::now() + std::chrono::seconds(5);
+  int status = 0;
+  pid_t reaped = 0;
+  while ((reaped = ::waitpid(worker, &status, WNOHANG)) == 0 &&
+         Clock::now() < gone_by) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  ASSERT_EQ(reaped, worker) << "the worker outlived its parent by 5 s";
+  cleanup.worker = -1;
+  EXPECT_TRUE(WIFSIGNALED(status) && WTERMSIG(status) == SIGKILL);
 }
 
 TEST_F(SandboxTest, TornReplyIsTransientAndRetryRecovers) {

@@ -20,6 +20,8 @@
 #include <vector>
 
 #include "determinism_matrix.hpp"
+#include "harness/fault.hpp"
+#include "harness/resilient.hpp"
 #include "support/log.hpp"
 #include "tuner/algorithms.hpp"
 #include "tuner/session.hpp"
@@ -178,15 +180,14 @@ class OverlapProbe final : public Evaluator {
  public:
   explicit OverlapProbe(Evaluator& inner) : inner_(&inner) {}
 
-  Measurement measure(const Configuration& config, BudgetClock* budget,
-                      const EvalHints& hints) override {
-    const std::uint64_t fingerprint = config.fingerprint();
+  Measurement measure(const Configuration& config, std::uint64_t fingerprint,
+                      BudgetClock* budget, const EvalHints& hints) override {
     {
       std::lock_guard lock(mutex_);
       max_overlap_ = std::max(max_overlap_, ++active_[fingerprint]);
     }
     std::this_thread::sleep_for(std::chrono::microseconds(500));
-    Measurement m = inner_->measure(config, budget, hints);
+    Measurement m = inner_->measure(config, fingerprint, budget, hints);
     std::lock_guard lock(mutex_);
     --active_[fingerprint];
     return m;
@@ -251,6 +252,90 @@ TEST_F(SchedulerSuite, NeverMeasuresOneConfigurationTwiceAtOnce) {
     EXPECT_EQ(counters.runs, 3 * 3);
     EXPECT_EQ(counters.cache_hits, RoundRobinStrategy::kProposals - 3);
   }
+}
+
+// ---- the dispatch fingerprint, handed down -----------------------------------
+
+// Checks that the fingerprint every call hands down is its configuration's,
+// and counts the calls and the top-up requests among them.
+class FingerprintProbe final : public Evaluator {
+ public:
+  explicit FingerprintProbe(Evaluator& inner) : inner_(&inner) {}
+
+  Measurement measure(const Configuration& config, std::uint64_t fingerprint,
+                      BudgetClock* budget, const EvalHints& hints) override {
+    {
+      std::lock_guard lock(mutex_);
+      ++calls_;
+      if (hints.top_up) ++top_ups_;
+      if (fingerprint != config.fingerprint()) ++wrong_;
+    }
+    return inner_->measure(config, fingerprint, budget, hints);
+  }
+  using Evaluator::measure;
+
+  EvalCounters counters() const override { return inner_->counters(); }
+
+  int calls() const {
+    std::lock_guard lock(mutex_);
+    return calls_;
+  }
+  int top_ups() const {
+    std::lock_guard lock(mutex_);
+    return top_ups_;
+  }
+  int wrong() const {
+    std::lock_guard lock(mutex_);
+    return wrong_;
+  }
+
+ private:
+  Evaluator* inner_;
+  mutable std::mutex mutex_;
+  int calls_ = 0;
+  int top_ups_ = 0;
+  int wrong_ = 0;
+};
+
+// No layer fingerprints the configuration it is handed: the scheduler's
+// dispatch-time fingerprint travels down through resilience and fault
+// injection (retries included) to a real runner, on pool threads and on
+// commit's top-up path alike, and it is always the configuration's own.
+TEST_F(SchedulerSuite, EveryLayerReceivesTheDispatchFingerprint) {
+  // A tight first-repetition racing floor on a noisy workload races out
+  // candidates that still beat the incumbent, so commit tops them up.
+  WorkloadSpec workload = scheduler_workload();
+  workload.noise_sigma = 0.05;
+  RunnerOptions runner_options;
+  runner_options.policy.adaptive = true;
+  runner_options.policy.max_reps = 5;
+  runner_options.policy.ci_rel = 0.02;
+  runner_options.policy.race_p = 0.05;
+  runner_options.racing_factor = 1.02;
+  BenchmarkRunner runner(sim_, workload, runner_options);
+  FingerprintProbe probe(runner);
+  FaultOptions faults;
+  faults.transient_rate = 0.1;
+  FaultInjectingEvaluator injector(probe, faults);
+  ResilientEvaluator resilient(injector);
+
+  BudgetClock budget(SimTime::minutes(30));
+  ResultDb db;
+  const SearchSpace space(FlagHierarchy::hotspot());
+  ThreadPool pool(4);
+  TuningContext ctx(resilient, budget, db, space, Rng(11), &pool);
+  ctx.set_measurement_policy(runner_options.policy);
+  const Configuration defaults(space.registry());
+  const std::uint64_t defaults_fp = defaults.fingerprint();
+  TuningContext::MeasuredEval base = ctx.measure_only(defaults, defaults_fp);
+  ctx.commit(defaults, defaults_fp, base, /*replayed=*/false);
+  HierarchicalTuner strategy;
+  EvalScheduler(ctx, SchedulerOptions{.inflight = 8}).run(strategy);
+
+  EXPECT_EQ(probe.wrong(), 0) << "of " << probe.calls() << " calls";
+  EXPECT_GT(probe.calls(), 50);
+  EXPECT_GT(probe.top_ups(), 0) << "commit's top-up path never ran";
+  EXPECT_GT(resilient.stats().retries, 0) << "no retry was handed down";
 }
 
 // ---- BudgetClock under concurrent charges -----------------------------------

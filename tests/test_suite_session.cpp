@@ -2,9 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <cstdlib>
+#include <memory>
 #include <string>
+#include <vector>
 
 #include "determinism_matrix.hpp"
 #include "harness/store.hpp"
@@ -69,6 +73,93 @@ TEST_F(SuiteSessionTest, BudgetChargedAcrossMembers) {
   runner.measure(c, &budget);
   // 3 workloads x 3 reps x (run + 2 s overhead).
   EXPECT_GT(budget.spent(), SimTime::seconds(18));
+}
+
+// The members of one suite evaluation share its start check and decode.
+// Sharing must change nothing a member reports: for startable, refused-start,
+// timed-out and repeated configurations, the suite score is the geomean that
+// standalone runners with the same options and time limits give, with the
+// same budget charge and the same run, simulation and cache-hit totals.
+TEST_F(SuiteSessionTest, SharedDecodeChangesNothingAMemberReports) {
+  RunnerOptions options;
+  options.repetitions = 3;
+  options.seed = 41;
+  // SPECjvm2008's startup programs, where -Xint outlives the time limit on
+  // some members and not on others.
+  const std::vector<WorkloadSpec>& members = specjvm2008_startup();
+  SuiteRunner suite(sim_, members, options);
+
+  // The suite measures each member's defaults at construction and limits
+  // each member to five times its default mean run time; so do the twins.
+  std::vector<std::unique_ptr<BenchmarkRunner>> twins;
+  std::vector<double> default_values;
+  const Configuration defaults(FlagRegistry::hotspot());
+  for (const WorkloadSpec& workload : members) {
+    twins.push_back(std::make_unique<BenchmarkRunner>(sim_, workload, options));
+    const Measurement m = twins.back()->measure(defaults);
+    default_values.push_back(m.objective());
+    twins.back()->set_time_limit(
+        SimTime::millis(static_cast<std::int64_t>(m.summary.mean * 5.0)));
+  }
+  ASSERT_EQ(default_values, suite.default_times_ms());
+
+  Configuration startable(FlagRegistry::hotspot());
+  startable.set_int("NewRatio", 3);
+  Configuration tiered(FlagRegistry::hotspot());
+  tiered.set_bool("TieredCompilation", false);
+  Configuration two_collectors(FlagRegistry::hotspot());
+  two_collectors.set_bool("UseG1GC", true);
+  Configuration interpreted(FlagRegistry::hotspot());
+  interpreted.set_enum("ExecutionMode", "int");
+  const std::vector<Configuration> corpus = {
+      startable, two_collectors, interpreted, tiered,
+      startable, two_collectors, interpreted};
+
+  BudgetClock suite_budget(SimTime::minutes(10000));
+  BudgetClock twin_budget(SimTime::minutes(10000));
+  int refused = 0;
+  int timed_out = 0;
+  for (std::size_t c = 0; c < corpus.size(); ++c) {
+    SCOPED_TRACE("configuration " + std::to_string(c));
+    const Measurement m = suite.measure(corpus[c], &suite_budget);
+
+    double log_sum = 0;
+    std::string crashed_on;
+    for (std::size_t i = 0; i < twins.size(); ++i) {
+      const Measurement member = twins[i]->measure(corpus[c], &twin_budget);
+      refused += member.crash_reason.starts_with("VM failed to start") ? 1 : 0;
+      timed_out += member.crash_reason == "harness timeout" ? 1 : 0;
+      const double value = member.objective();
+      if (!std::isfinite(value)) {
+        if (crashed_on.empty()) crashed_on = twins[i]->workload().name;
+        continue;
+      }
+      log_sum += std::log(value / default_values[i]);
+    }
+    if (!crashed_on.empty()) {
+      EXPECT_TRUE(m.crashed);
+      EXPECT_EQ(m.crash_reason, "crashed on " + crashed_on);
+    } else {
+      ASSERT_TRUE(m.valid());
+      const double score =
+          1000.0 * std::exp(log_sum / static_cast<double>(twins.size()));
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(m.objective()),
+                std::bit_cast<std::uint64_t>(score));
+    }
+    EXPECT_EQ(suite_budget.spent(), twin_budget.spent());
+
+    EvalCounters twin_counters;
+    for (const auto& twin : twins) twin_counters += twin->counters();
+    const EvalCounters suite_counters = suite.counters();
+    EXPECT_EQ(suite_counters.runs, twin_counters.runs);
+    EXPECT_EQ(suite_counters.simulations, twin_counters.simulations);
+    EXPECT_EQ(suite_counters.cache_hits, twin_counters.cache_hits);
+  }
+  // The corpus reaches every kind of member outcome.
+  EXPECT_GT(refused, 0);
+  EXPECT_GT(timed_out, 0);
+  EXPECT_LT(timed_out, 2 * static_cast<int>(members.size()));
+  EXPECT_GT(suite.counters().cache_hits, 0);
 }
 
 TEST_F(SuiteSessionTest, GeneralTuningImprovesTheGeomean) {
