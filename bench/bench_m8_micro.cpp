@@ -9,6 +9,7 @@
 
 #include <chrono>
 #include <cstdio>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -144,6 +145,16 @@ void BM_DecodeParams(benchmark::State& state) {
 }
 BENCHMARK(BM_DecodeParams);
 
+void BM_DecodeParamsTuned(benchmark::State& state) {
+  // The decode a cache miss pays, over the tuned corpus in order.
+  const std::vector<TunedConfig> corpus = tuned_corpus();
+  std::size_t next = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(decode_params(corpus[next++ % corpus.size()].config));
+  }
+}
+BENCHMARK(BM_DecodeParamsTuned);
+
 void BM_ValidateConfiguration(benchmark::State& state) {
   const Configuration config(FlagRegistry::hotspot());
   for (auto _ : state) {
@@ -151,6 +162,38 @@ void BM_ValidateConfiguration(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ValidateConfiguration);
+
+void BM_ValidateConfigurationTuned(benchmark::State& state) {
+  const std::vector<TunedConfig> corpus = tuned_corpus();
+  std::size_t next = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(validate(corpus[next++ % corpus.size()].config));
+  }
+}
+BENCHMARK(BM_ValidateConfigurationTuned);
+
+void BM_RenderCommandLineTuned(benchmark::State& state) {
+  // The command line every committed evaluation logs and journals.
+  const std::vector<TunedConfig> corpus = tuned_corpus();
+  std::size_t next = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        corpus[next++ % corpus.size()].config.render_command_line());
+  }
+}
+BENCHMARK(BM_RenderCommandLineTuned);
+
+void BM_FlagRegistryFind(benchmark::State& state) {
+  // A name past std::string's 15-character small-buffer limit, as command
+  // line parsing (sandbox workers, journal and store replays) looks it up.
+  const FlagRegistry& registry = FlagRegistry::hotspot();
+  const std::string name =
+      registry.spec(registry.require("CMSInitiatingOccupancyFraction")).name;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(registry.find(name));
+  }
+}
+BENCHMARK(BM_FlagRegistryFind);
 
 void BM_ConfigurationFingerprint(benchmark::State& state) {
   // Every flag at its default: every term comes from the registry's table.

@@ -22,12 +22,8 @@ bool same_bits(const FlagValue& value, const FlagValue& default_value) {
 
 }  // namespace
 
-Configuration::Configuration(const FlagRegistry& registry) : registry_(&registry) {
-  values_.reserve(registry.size());
-  for (FlagId id = 0; id < registry.size(); ++id) {
-    values_.push_back(registry.spec(id).default_value);
-  }
-}
+Configuration::Configuration(const FlagRegistry& registry)
+    : registry_(&registry), values_(registry.defaults()) {}
 
 const FlagValue& Configuration::get(FlagId id) const { return values_.at(id); }
 
@@ -81,7 +77,7 @@ void Configuration::set_enum(std::string_view name, std::string value) {
 }
 
 bool Configuration::is_default(FlagId id) const {
-  return values_[id] == registry_->spec(id).default_value;
+  return values_[id] == registry_->defaults()[id];
 }
 
 std::vector<FlagId> Configuration::changed_flags() const {
@@ -116,10 +112,11 @@ std::uint64_t Configuration::fingerprint() const {
   // same id order, so the value equals hashing every rendered flag.
   const std::vector<std::uint64_t>& default_terms =
       registry_->default_fingerprint_terms();
+  const std::vector<FlagValue>& defaults = registry_->defaults();
   std::uint64_t h = 0x9e3779b97f4a7c15ULL;
   for (FlagId id = 0; id < values_.size(); ++id) {
     const FlagValue& value = values_[id];
-    h = mix64(h, same_bits(value, registry_->spec(id).default_value)
+    h = mix64(h, same_bits(value, defaults[id])
                      ? default_terms[id]
                      : registry_->fingerprint_term(id, value));
   }

@@ -72,14 +72,22 @@ void FlagHierarchy::verify_coverage() const {
 }
 
 std::vector<FlagId> FlagHierarchy::active_flags(const Configuration& config) const {
-  std::vector<FlagId> out;
+  // Mark the active nodes' flags, then collect them in id order: the nodes
+  // partition the flags, so this equals sorting their concatenation.
+  std::vector<char> active(registry_->size(), 0);
+  std::size_t count = 0;
   std::function<void(const HierarchyNode&)> walk = [&](const HierarchyNode& node) {
     if (node.gate && !node.gate(config)) return;
-    out.insert(out.end(), node.flags.begin(), node.flags.end());
+    for (FlagId id : node.flags) active[id] = 1;
+    count += node.flags.size();
     for (const auto& child : node.children) walk(child);
   };
   walk(root_);
-  std::sort(out.begin(), out.end());
+  std::vector<FlagId> out;
+  out.reserve(count);
+  for (FlagId id = 0; id < active.size(); ++id) {
+    if (active[id]) out.push_back(id);
+  }
   return out;
 }
 
@@ -127,6 +135,9 @@ FlagHierarchy build_hotspot_hierarchy() {
   const FlagId cms = fid("UseConcMarkSweepGC");
   const FlagId parnew = fid("UseParNewGC");
   const FlagId g1 = fid("UseG1GC");
+  const FlagId tiered = fid("TieredCompilation");
+  const FlagId vm = fid("VMMode");
+  const FlagId exec = fid("ExecutionMode");
   auto gc_option = [&](const char* name, FlagId chosen, bool with_parnew) {
     StructuralOption option;
     option.name = name;
@@ -143,44 +154,38 @@ FlagHierarchy build_hotspot_hierarchy() {
 
   StructuralGroup jit_group{
       "jit",
-      {StructuralOption{"tiered", {{fid("TieredCompilation"), FlagValue(true)}}},
-       StructuralOption{"nontiered",
-                        {{fid("TieredCompilation"), FlagValue(false)}}}}};
+      {StructuralOption{"tiered", {{tiered, FlagValue(true)}}},
+       StructuralOption{"nontiered", {{tiered, FlagValue(false)}}}}};
 
   StructuralGroup vm_group{
       "vm",
-      {StructuralOption{"server",
-                        {{fid("VMMode"), FlagValue(std::string("server"))}}},
-       StructuralOption{"client",
-                        {{fid("VMMode"), FlagValue(std::string("client"))}}}}};
+      {StructuralOption{"server", {{vm, FlagValue(std::string("server"))}}},
+       StructuralOption{"client", {{vm, FlagValue(std::string("client"))}}}}};
 
   StructuralGroup exec_group{
       "exec",
-      {StructuralOption{"mixed",
-                        {{fid("ExecutionMode"), FlagValue(std::string("mixed"))}}},
-       StructuralOption{"int",
-                        {{fid("ExecutionMode"), FlagValue(std::string("int"))}}},
-       StructuralOption{"comp",
-                        {{fid("ExecutionMode"), FlagValue(std::string("comp"))}}}}};
+      {StructuralOption{"mixed", {{exec, FlagValue(std::string("mixed"))}}},
+       StructuralOption{"int", {{exec, FlagValue(std::string("int"))}}},
+       StructuralOption{"comp", {{exec, FlagValue(std::string("comp"))}}}}};
 
-  std::unordered_set<FlagId> structural = {serial,   parallel, cms,
-                                           parnew,   g1,       fid("TieredCompilation"),
-                                           fid("VMMode"), fid("ExecutionMode")};
+  std::unordered_set<FlagId> structural = {serial, parallel, cms,  parnew,
+                                           g1,     tiered,   vm,   exec};
 
   // --- Gates (read only structural flags, so subtree activation is stable
-  // while numeric flags inside the subtree are tuned) ------------------------
-  auto gate_flag = [](std::string name) {
-    return [name = std::move(name)](const Configuration& c) { return c.get_bool(name); };
+  // while numeric flags inside the subtree are tuned; they capture ids, as
+  // every ask evaluates them) -------------------------------------------------
+  auto gate_flag = [](FlagId id) {
+    return [id](const Configuration& c) { return c.get(id).as_bool(); };
   };
-  auto gate_compiling = [](const Configuration& c) {
-    return c.get_enum("ExecutionMode") != "int";
+  auto gate_compiling = [exec](const Configuration& c) {
+    return c.get(exec).as_string() != "int";
   };
-  auto gate_c1 = [](const Configuration& c) {
-    return c.get_enum("ExecutionMode") != "int" &&
-           (c.get_bool("TieredCompilation") || c.get_enum("VMMode") == "client");
+  auto gate_c1 = [exec, tiered, vm](const Configuration& c) {
+    return c.get(exec).as_string() != "int" &&
+           (c.get(tiered).as_bool() || c.get(vm).as_string() == "client");
   };
-  auto gate_c2 = [](const Configuration& c) {
-    return c.get_enum("ExecutionMode") != "int" && c.get_enum("VMMode") == "server";
+  auto gate_c2 = [exec, vm](const Configuration& c) {
+    return c.get(exec).as_string() != "int" && c.get(vm).as_string() == "server";
   };
 
   // --- Tree ------------------------------------------------------------------
@@ -191,16 +196,16 @@ FlagHierarchy build_hotspot_hierarchy() {
 
   HierarchyNode gc{"gc", {}, subsystem_minus(reg, Subsystem::kGcCommon, structural), {}};
   gc.children.push_back(
-      {"gc.serial", gate_flag("UseSerialGC"),
+      {"gc.serial", gate_flag(serial),
        subsystem_minus(reg, Subsystem::kGcSerial, structural), {}});
   gc.children.push_back(
-      {"gc.parallel", gate_flag("UseParallelGC"),
+      {"gc.parallel", gate_flag(parallel),
        subsystem_minus(reg, Subsystem::kGcParallel, structural), {}});
   gc.children.push_back(
-      {"gc.cms", gate_flag("UseConcMarkSweepGC"),
+      {"gc.cms", gate_flag(cms),
        subsystem_minus(reg, Subsystem::kGcCms, structural), {}});
   gc.children.push_back(
-      {"gc.g1", gate_flag("UseG1GC"),
+      {"gc.g1", gate_flag(g1),
        subsystem_minus(reg, Subsystem::kGcG1, structural), {}});
 
   HierarchyNode compiler{"compiler", gate_compiling,

@@ -1,5 +1,6 @@
 #include "flags/registry.hpp"
 
+#include <atomic>
 #include <cmath>
 
 #include "support/error.hpp"
@@ -7,7 +8,30 @@
 
 namespace jat {
 
+namespace {
+
+/// Every constructed name list, by slot (null until its list exists).
+std::array<std::atomic<const FlagNameList*>, FlagNameList::kMaxLists> g_lists{};
+std::atomic<std::size_t> g_next_slot{0};
+
+std::size_t claim_name_list_slot() {
+  const std::size_t slot = g_next_slot.fetch_add(1);
+  if (slot >= FlagNameList::kMaxLists) {
+    throw FlagError("FlagNameList: more than " +
+                    std::to_string(FlagNameList::kMaxLists) + " lists");
+  }
+  return slot;
+}
+
+}  // namespace
+
+FlagNameList::FlagNameList(std::span<const std::string_view> names)
+    : names_(names), slot_(claim_name_list_slot()) {
+  g_lists[slot_].store(this, std::memory_order_release);
+}
+
 FlagRegistry::FlagRegistry(std::vector<FlagSpec> specs) : specs_(std::move(specs)) {
+  defaults_.reserve(specs_.size());
   by_name_.reserve(specs_.size());
   for (FlagId id = 0; id < specs_.size(); ++id) {
     const auto& spec = specs_[id];
@@ -17,11 +41,12 @@ FlagRegistry::FlagRegistry(std::vector<FlagSpec> specs) : specs_(std::move(specs
     }
     const auto [it, inserted] = by_name_.emplace(spec.name, id);
     if (!inserted) throw FlagError("FlagRegistry: duplicate flag " + spec.name);
+    defaults_.push_back(spec.default_value);
   }
 }
 
 FlagId FlagRegistry::find(std::string_view name) const {
-  const auto it = by_name_.find(std::string(name));
+  const auto it = by_name_.find(name);
   return it == by_name_.end() ? kInvalidFlag : it->second;
 }
 
@@ -75,6 +100,26 @@ const std::vector<std::uint64_t>& FlagRegistry::default_fingerprint_terms()
     }
   });
   return default_terms_;
+}
+
+const std::vector<FlagId>& FlagRegistry::resolve(const FlagNameList& list) const {
+  ResolvedList& resolved = resolved_[list.slot()];
+  std::call_once(resolved.once, [&] {
+    resolved.ids.reserve(list.names().size());
+    for (const std::string_view name : list.names()) {
+      resolved.ids.push_back(find(name));
+    }
+  });
+  return resolved.ids;
+}
+
+void FlagRegistry::build_lazy_tables() const {
+  (void)default_fingerprint_terms();
+  for (const auto& slot : g_lists) {
+    if (const FlagNameList* list = slot.load(std::memory_order_acquire)) {
+      (void)resolve(*list);
+    }
+  }
 }
 
 }  // namespace jat

@@ -4,14 +4,15 @@
 // name or by dense index (FlagId). The catalog itself lives in catalog.cpp
 // and contains 600+ real HotSpot flag definitions (JDK 7/8 era, matching
 // the paper). Registry instances are immutable after construction (apart
-// from a lazily built, thread-safe fingerprint table) and shared by
-// reference throughout the library.
+// from lazily built, thread-safe tables: the default fingerprint terms and
+// the readers' resolved name lists) and shared by reference throughout the
+// library.
 #pragma once
 
+#include <array>
 #include <cstdint>
-#include <memory>
 #include <mutex>
-#include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -25,6 +26,26 @@ namespace jat {
 using FlagId = std::uint32_t;
 inline constexpr FlagId kInvalidFlag = UINT32_MAX;
 
+/// A fixed list of flag names that one reader reads on every evaluation
+/// (see flags/reader.hpp). Each list owns a slot in every registry's table
+/// of resolved lists, so FlagRegistry::resolve() looks its names up once
+/// per registry. Construct each list once, with static storage.
+class FlagNameList {
+ public:
+  static constexpr std::size_t kMaxLists = 16;
+
+  explicit FlagNameList(std::span<const std::string_view> names);
+  FlagNameList(const FlagNameList&) = delete;
+  FlagNameList& operator=(const FlagNameList&) = delete;
+
+  std::span<const std::string_view> names() const { return names_; }
+  std::size_t slot() const { return slot_; }
+
+ private:
+  std::span<const std::string_view> names_;
+  std::size_t slot_;
+};
+
 class FlagRegistry {
  public:
   /// Builds a registry from explicit specs (tests use small hand-made ones).
@@ -36,7 +57,10 @@ class FlagRegistry {
   std::size_t size() const { return specs_.size(); }
   const FlagSpec& spec(FlagId id) const { return specs_.at(id); }
 
-  /// Name lookup; kInvalidFlag when absent.
+  /// Every flag's default value, indexed by id.
+  const std::vector<FlagValue>& defaults() const { return defaults_; }
+
+  /// Name lookup; kInvalidFlag when absent. Builds no std::string.
   FlagId find(std::string_view name) const;
 
   /// Name lookup that throws FlagError when absent (for user-facing paths).
@@ -66,11 +90,31 @@ class FlagRegistry {
   /// afterwards.
   const std::vector<std::uint64_t>& default_fingerprint_terms() const;
 
+  /// `list`'s ids in this registry, name by name, kInvalidFlag for a name
+  /// the registry lacks. Resolved on the list's first use (thread-safe,
+  /// never in the constructor) and immutable afterwards.
+  const std::vector<FlagId>& resolve(const FlagNameList& list) const;
+
+  /// Builds the lazy tables now: the default fingerprint terms and the ids
+  /// of every name list constructed so far (or waits for the thread
+  /// building one). The sandbox calls it before each fork, so that no
+  /// worker inherits a half-built table and then blocks on it forever.
+  void build_lazy_tables() const;
+
  private:
+  struct ResolvedList {
+    std::once_flag once;
+    std::vector<FlagId> ids;
+  };
+
   std::vector<FlagSpec> specs_;
-  std::unordered_map<std::string, FlagId> by_name_;
+  std::vector<FlagValue> defaults_;
+  /// Keyed by views of the names in specs_, which never changes after
+  /// construction (and a registry never moves).
+  std::unordered_map<std::string_view, FlagId> by_name_;
   mutable std::once_flag default_terms_once_;
   mutable std::vector<std::uint64_t> default_terms_;
+  mutable std::array<ResolvedList, FlagNameList::kMaxLists> resolved_;
 };
 
 }  // namespace jat

@@ -1,22 +1,36 @@
 #include "flags/validate.hpp"
 
+#include <string_view>
+
+#include "flags/reader.hpp"
+
 namespace jat {
 
 namespace {
 
-bool has_flag(const Configuration& c, const char* name) {
-  return c.registry().find(name) != kInvalidFlag;
+/// Every flag the start check reads, resolved to ids once per registry. A
+/// check whose flags a registry lacks is skipped.
+constexpr std::string_view kCheckedFlags[] = {
+    "UseSerialGC", "UseParallelGC", "UseConcMarkSweepGC", "UseG1GC",
+    "UseParNewGC", "UseParallelOldGC", "InitialHeapSize", "MaxHeapSize",
+    "NewSize", "MaxNewSize", "MinHeapFreeRatio", "MaxHeapFreeRatio",
+    "InitialTenuringThreshold", "MaxTenuringThreshold", "MetaspaceSize",
+    "MaxMetaspaceSize", "G1HeapRegionSize", "G1NewSizePercent",
+    "G1MaxNewSizePercent", "CMSPrecleanNumerator", "CMSPrecleanDenominator",
+    "InitialCodeCacheSize", "ReservedCodeCacheSize", "TieredStopAtLevel",
+    "TieredCompilation",
+};
+using Reader = FlagReader<kCheckedFlags>;
+
+bool flag_true(const Reader& c, Reader::Name name) {
+  return c.has(name) && c.get_bool(name);
 }
 
-bool flag_true(const Configuration& c, const char* name) {
-  return has_flag(c, name) && c.get_bool(name);
+std::int64_t int_or(const Reader& c, Reader::Name name, std::int64_t fallback) {
+  return c.has(name) ? c.get_int(name) : fallback;
 }
 
-std::int64_t int_or(const Configuration& c, const char* name, std::int64_t fallback) {
-  return has_flag(c, name) ? c.get_int(name) : fallback;
-}
-
-void check_collectors(const Configuration& c, std::vector<Violation>& out) {
+void check_collectors(const Reader& c, std::vector<Violation>& out) {
   const bool serial = flag_true(c, "UseSerialGC");
   const bool parallel = flag_true(c, "UseParallelGC");
   const bool cms = flag_true(c, "UseConcMarkSweepGC");
@@ -46,7 +60,7 @@ void check_collectors(const Configuration& c, std::vector<Violation>& out) {
   }
 }
 
-void check_heap(const Configuration& c, std::vector<Violation>& out) {
+void check_heap(const Reader& c, std::vector<Violation>& out) {
   const std::int64_t initial = int_or(c, "InitialHeapSize", 0);
   const std::int64_t max = int_or(c, "MaxHeapSize", 0);
   if (initial > 0 && max > 0 && initial > max) {
@@ -80,7 +94,7 @@ void check_heap(const Configuration& c, std::vector<Violation>& out) {
                    "InitialTenuringThreshold exceeds MaxTenuringThreshold",
                    Severity::kFatal});
   }
-  if (has_flag(c, "MetaspaceSize") && has_flag(c, "MaxMetaspaceSize") &&
+  if (c.has("MetaspaceSize") && c.has("MaxMetaspaceSize") &&
       c.get_int("MetaspaceSize") > c.get_int("MaxMetaspaceSize")) {
     out.push_back({"MetaspaceSize",
                    "MetaspaceSize exceeds MaxMetaspaceSize; VM clamps it",
@@ -88,15 +102,15 @@ void check_heap(const Configuration& c, std::vector<Violation>& out) {
   }
 }
 
-void check_g1(const Configuration& c, std::vector<Violation>& out) {
-  if (!has_flag(c, "G1HeapRegionSize")) return;
+void check_g1(const Reader& c, std::vector<Violation>& out) {
+  if (!c.has("G1HeapRegionSize")) return;
   const std::int64_t region = c.get_int("G1HeapRegionSize");
   if (region != 0 && (region & (region - 1)) != 0) {
     out.push_back({"G1HeapRegionSize",
                    "G1HeapRegionSize must be a power of two",
                    Severity::kFatal});
   }
-  if (has_flag(c, "G1NewSizePercent") && has_flag(c, "G1MaxNewSizePercent") &&
+  if (c.has("G1NewSizePercent") && c.has("G1MaxNewSizePercent") &&
       c.get_int("G1NewSizePercent") > c.get_int("G1MaxNewSizePercent")) {
     out.push_back({"G1NewSizePercent",
                    "G1NewSizePercent exceeds G1MaxNewSizePercent",
@@ -104,8 +118,8 @@ void check_g1(const Configuration& c, std::vector<Violation>& out) {
   }
 }
 
-void check_cms(const Configuration& c, std::vector<Violation>& out) {
-  if (has_flag(c, "CMSPrecleanNumerator") && has_flag(c, "CMSPrecleanDenominator") &&
+void check_cms(const Reader& c, std::vector<Violation>& out) {
+  if (c.has("CMSPrecleanNumerator") && c.has("CMSPrecleanDenominator") &&
       c.get_int("CMSPrecleanNumerator") >= c.get_int("CMSPrecleanDenominator")) {
     out.push_back({"CMSPrecleanNumerator",
                    "CMSPrecleanNumerator must be less than CMSPrecleanDenominator",
@@ -113,14 +127,14 @@ void check_cms(const Configuration& c, std::vector<Violation>& out) {
   }
 }
 
-void check_compiler(const Configuration& c, std::vector<Violation>& out) {
-  if (has_flag(c, "InitialCodeCacheSize") && has_flag(c, "ReservedCodeCacheSize") &&
+void check_compiler(const Reader& c, std::vector<Violation>& out) {
+  if (c.has("InitialCodeCacheSize") && c.has("ReservedCodeCacheSize") &&
       c.get_int("InitialCodeCacheSize") > c.get_int("ReservedCodeCacheSize")) {
     out.push_back({"InitialCodeCacheSize",
                    "initial code cache larger than the reserved code cache",
                    Severity::kFatal});
   }
-  if (has_flag(c, "TieredStopAtLevel") && has_flag(c, "TieredCompilation") &&
+  if (c.has("TieredStopAtLevel") && c.has("TieredCompilation") &&
       !c.get_bool("TieredCompilation") && c.get_int("TieredStopAtLevel") != 4) {
     out.push_back({"TieredStopAtLevel",
                    "TieredStopAtLevel has no effect without TieredCompilation",
@@ -131,12 +145,13 @@ void check_compiler(const Configuration& c, std::vector<Violation>& out) {
 }  // namespace
 
 std::vector<Violation> validate(const Configuration& config) {
+  const Reader reader(config);
   std::vector<Violation> out;
-  check_collectors(config, out);
-  check_heap(config, out);
-  check_g1(config, out);
-  check_cms(config, out);
-  check_compiler(config, out);
+  check_collectors(reader, out);
+  check_heap(reader, out);
+  check_g1(reader, out);
+  check_cms(reader, out);
+  check_compiler(reader, out);
   return out;
 }
 

@@ -447,10 +447,11 @@ void SandboxedEvaluator::spawn(Worker& worker) {
     ::close(request_pipe[1]);
     throw Error("sandbox: pipe() failed: " + std::string(::strerror(errno)));
   }
-  // The registry builds its fingerprint table lazily under call_once. Build
-  // it here (or wait for the thread building it) so that no worker forks
-  // with the table half-built and then blocks on it forever.
-  (void)registry_->default_fingerprint_terms();
+  // The registry builds its fingerprint table and its readers' id tables
+  // lazily under call_once. Build them here (or wait for the thread
+  // building one) so that no worker forks with a table half-built and then
+  // blocks on it forever.
+  registry_->build_lazy_tables();
   const pid_t parent = ::getpid();
   const pid_t pid = ::fork();
   if (pid < 0) {

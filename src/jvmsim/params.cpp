@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string_view>
+
+#include "flags/reader.hpp"
 
 namespace jat {
 
@@ -17,11 +20,46 @@ const char* to_string(GcAlgorithm algorithm) {
 
 namespace {
 
+/// Every flag decode reads, resolved to ids once per registry.
+constexpr std::string_view kDecodedFlags[] = {
+    "InitialHeapSize", "MaxHeapSize", "NewSize", "MaxNewSize", "NewRatio",
+    "SurvivorRatio", "TargetSurvivorRatio", "MaxTenuringThreshold",
+    "InitialTenuringThreshold", "MetaspaceSize", "MaxMetaspaceSize",
+    "PretenureSizeThreshold", "UseTLAB", "ResizeTLAB", "UseCompressedOops",
+    "UseLargePages", "AlwaysPreTouch", "UseNUMA", "MinHeapFreeRatio",
+    "MaxHeapFreeRatio", "UseAdaptiveSizePolicy", "UseSerialGC",
+    "UseConcMarkSweepGC", "UseG1GC", "UseParallelOldGC", "ParallelGCThreads",
+    "UseParNewGC", "ConcGCThreads", "MaxGCPauseMillis", "GCTimeRatio",
+    "ParallelRefProcEnabled", "ScavengeBeforeFullGC", "UseGCOverheadLimit",
+    "CMSInitiatingOccupancyFraction", "UseCMSInitiatingOccupancyOnly",
+    "CMSParallelRemarkEnabled", "CMSParallelInitialMarkEnabled",
+    "CMSScavengeBeforeRemark", "CMSIncrementalMode", "CMSPrecleaningEnabled",
+    "G1HeapRegionSize", "G1NewSizePercent", "G1MaxNewSizePercent",
+    "InitiatingHeapOccupancyPercent", "G1MixedGCCountTarget",
+    "G1HeapWastePercent", "G1MixedGCLiveThresholdPercent", "G1ReservePercent",
+    "G1ConcRefinementThreads", "MaxInlineSize", "FreqInlineSize",
+    "MaxInlineLevel", "InlineSmallCode", "ExecutionMode", "VMMode",
+    "TieredCompilation", "TieredStopAtLevel", "CompileThreshold",
+    "Tier3InvocationThreshold", "Tier4InvocationThreshold", "CICompilerCount",
+    "BackgroundCompilation", "ReservedCodeCacheSize", "UseCodeCacheFlushing",
+    "UseOnStackReplacement", "DoEscapeAnalysis", "EliminateAllocations",
+    "EliminateLocks", "AggressiveOpts", "UseTypeProfile",
+    "UseOptoBiasInlining", "UseSuperWord", "MaxVectorSize", "LoopUnrollLimit",
+    "UseLoopPredicate", "UseAES", "UseAESIntrinsics", "UseSHA",
+    "UseCRC32Intrinsics", "RewriteBytecodes", "RewriteFrequentPairs",
+    "UseInlineCaches", "UseFastAccessorMethods",
+    "C1OptimizeVirtualCallProfiling", "C1UpdateMethodData", "UseBiasedLocking",
+    "BiasedLockingStartupDelay", "PreBlockSpin", "GuaranteedSafepointInterval",
+    "UseCountedLoopSafepoints", "BytecodeVerificationRemote",
+    "BytecodeVerificationLocal", "UseSharedSpaces",
+};
+using Reader = FlagReader<kDecodedFlags>;
+
 /// Saturating benefit curve: 0 at x=0, 0.5 at x=half, -> 1. Used for
 /// "more helps with diminishing returns" flag responses.
 double sat(double x, double half) { return x / (x + half); }
 
-HeapParams decode_heap(const Configuration& c) {
+HeapParams decode_heap(const Reader& c) {
   HeapParams h;
   h.initial_heap = c.get_int("InitialHeapSize");
   h.max_heap = c.get_int("MaxHeapSize");
@@ -64,7 +102,7 @@ HeapParams decode_heap(const Configuration& c) {
   return h;
 }
 
-GcParams decode_gc(const Configuration& c) {
+GcParams decode_gc(const Reader& c) {
   GcParams g;
   if (c.get_bool("UseSerialGC")) {
     g.algorithm = GcAlgorithm::kSerial;
@@ -126,7 +164,7 @@ GcParams decode_gc(const Configuration& c) {
 /// multiplier. More inlining helps with diminishing returns, then costs
 /// instruction-cache efficiency; the optimum sits above the defaults for
 /// call-dense code, matching folklore and the paper's observed wins.
-void decode_inlining(const Configuration& c, JitParams& j) {
+void decode_inlining(const Reader& c, JitParams& j) {
   const double max_inline = static_cast<double>(c.get_int("MaxInlineSize"));
   const double freq_inline = static_cast<double>(c.get_int("FreqInlineSize"));
   const double level = static_cast<double>(c.get_int("MaxInlineLevel"));
@@ -145,7 +183,7 @@ void decode_inlining(const Configuration& c, JitParams& j) {
   j.code_bloat *= 1.0 + 0.5 * sat(max_inline, 200.0) + 0.2 * sat(freq_inline, 1200.0);
 }
 
-JitParams decode_jit(const Configuration& c) {
+JitParams decode_jit(const Reader& c) {
   JitParams j;
   const std::string& exec = c.get_enum("ExecutionMode");
   j.interpret_only = exec == "int";
@@ -212,7 +250,7 @@ JitParams decode_jit(const Configuration& c) {
   return j;
 }
 
-RuntimeParams decode_runtime(const Configuration& c) {
+RuntimeParams decode_runtime(const Reader& c) {
   RuntimeParams r;
   r.biased_locking = c.get_bool("UseBiasedLocking");
   r.biased_delay = SimTime::millis(c.get_int("BiasedLockingStartupDelay"));
@@ -230,11 +268,12 @@ RuntimeParams decode_runtime(const Configuration& c) {
 }  // namespace
 
 JvmParams decode_params(const Configuration& config) {
+  const Reader reader(config);
   JvmParams p;
-  p.heap = decode_heap(config);
-  p.gc = decode_gc(config);
-  p.jit = decode_jit(config);
-  p.runtime = decode_runtime(config);
+  p.heap = decode_heap(reader);
+  p.gc = decode_gc(reader);
+  p.jit = decode_jit(reader);
+  p.runtime = decode_runtime(reader);
   return p;
 }
 

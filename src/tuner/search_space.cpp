@@ -2,12 +2,24 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string_view>
 
+#include "flags/reader.hpp"
 #include "support/error.hpp"
 
 namespace jat {
 
 namespace {
+
+/// Every flag repair reads or sets, resolved to ids once per registry.
+constexpr std::string_view kRepairedFlags[] = {
+    "InitialHeapSize", "MaxHeapSize", "NewSize", "MinHeapFreeRatio",
+    "MaxHeapFreeRatio", "InitialTenuringThreshold", "MaxTenuringThreshold",
+    "InitialCodeCacheSize", "ReservedCodeCacheSize", "G1HeapRegionSize",
+    "G1NewSizePercent", "G1MaxNewSizePercent", "CMSPrecleanNumerator",
+    "CMSPrecleanDenominator",
+};
+using RepairReader = FlagReader<kRepairedFlags>;
 
 std::int64_t quantize(std::int64_t value, const IntDomain& domain) {
   const std::int64_t step = std::max<std::int64_t>(1, domain.step);
@@ -117,11 +129,12 @@ void SearchSpace::mutate(Configuration& config, Rng& rng, int flag_count,
 }
 
 void SearchSpace::repair(Configuration& config) const {
-  const FlagRegistry& reg = registry();
-  auto get = [&](const char* name) { return config.get_int(name); };
-  auto clamp_set = [&](const char* name, std::int64_t value) {
-    const FlagSpec& spec = reg.spec(reg.require(name));
-    config.set_int(name, std::clamp(value, spec.int_domain.lo, spec.int_domain.hi));
+  const RepairReader read(config);
+  auto get = [&](RepairReader::Name name) { return read.get_int(name); };
+  auto clamp_set = [&](RepairReader::Name name, std::int64_t value) {
+    const FlagId id = read.id(name);
+    const IntDomain& domain = registry().spec(id).int_domain;
+    config.set(id, FlagValue(std::clamp(value, domain.lo, domain.hi)));
   };
 
   // Heap bound inversions.

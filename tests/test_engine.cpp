@@ -8,12 +8,11 @@
 #include <utility>
 #include <vector>
 
-#include "flags/hierarchy.hpp"
 #include "flags/validate.hpp"
 #include "jvmsim/params.hpp"
+#include "pin_corpus.hpp"
 #include "support/rng.hpp"
 #include "support/units.hpp"
-#include "tuner/search_space.hpp"
 #include "workloads/suites.hpp"
 
 namespace jat {
@@ -284,31 +283,7 @@ class ResultHash {
   std::uint64_t value_ = 0;
 };
 
-constexpr int kConfigsPerProgram = 20;
 constexpr std::uint64_t kPinSeeds[] = {1, 2, 3};
-
-/// The pin corpus: every suite program with the default configuration and
-/// kConfigsPerProgram seeded random ones.
-std::vector<std::pair<const WorkloadSpec*, std::vector<Configuration>>>
-pin_corpus() {
-  constexpr double kDensities[] = {0.05, 0.15, 0.3};
-  std::vector<const WorkloadSpec*> programs;
-  for (const WorkloadSpec& w : specjvm2008_startup()) programs.push_back(&w);
-  for (const WorkloadSpec& w : dacapo()) programs.push_back(&w);
-
-  const SearchSpace space(FlagHierarchy::hotspot());
-  Rng rng(0x70696e5f32303135ULL);  // "pin_2015"
-  std::vector<std::pair<const WorkloadSpec*, std::vector<Configuration>>>
-      corpus;
-  for (const WorkloadSpec* program : programs) {
-    std::vector<Configuration> configs{Configuration(FlagRegistry::hotspot())};
-    for (int i = 0; i < kConfigsPerProgram; ++i) {
-      configs.push_back(space.random_config(rng, kDensities[i % 3]));
-    }
-    corpus.emplace_back(program, std::move(configs));
-  }
-  return corpus;
-}
 
 TEST(SimulatorOutputPin, EveryRunResultFieldIsBitIdentical) {
   const auto corpus = pin_corpus();

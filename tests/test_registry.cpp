@@ -3,6 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string_view>
+#include <thread>
+#include <vector>
+
+#include "flags/reader.hpp"
 
 #include "support/error.hpp"
 
@@ -42,6 +47,57 @@ TEST(FlagRegistry, FindAndRequire) {
   EXPECT_EQ(reg.find("Z"), kInvalidFlag);
   EXPECT_EQ(reg.require("Y"), 1u);
   EXPECT_THROW(reg.require("Z"), FlagError);
+}
+
+TEST(FlagRegistry, FindTakesAViewIntoALargerString) {
+  const FlagRegistry& reg = FlagRegistry::hotspot();
+  const std::string_view text = "-XX:CMSInitiatingOccupancyFraction=70";
+  EXPECT_EQ(reg.find(text.substr(4, 30)),
+            reg.require("CMSInitiatingOccupancyFraction"));
+  EXPECT_EQ(reg.find(text.substr(4, 29)), kInvalidFlag);
+}
+
+TEST(FlagRegistry, DefaultsHoldEverySpecsDefault) {
+  const FlagRegistry& reg = FlagRegistry::hotspot();
+  ASSERT_EQ(reg.defaults().size(), reg.size());
+  for (FlagId id = 0; id < reg.size(); ++id) {
+    EXPECT_EQ(reg.defaults()[id], reg.spec(id).default_value) << reg.spec(id).name;
+  }
+}
+
+constexpr std::string_view kListedFlags[] = {"Y", "Absent", "X"};
+
+// A name list resolves once per registry, to that registry's ids, and to
+// kInvalidFlag for a name the registry lacks; concurrent first uses agree.
+TEST(FlagRegistry, ResolvesANameListOncePerRegistry) {
+  static const FlagNameList list(kListedFlags);
+  const FlagRegistry xy({make_bool("X"), make_bool("Y")});
+  const FlagRegistry yx({make_bool("Y"), make_bool("Z"), make_bool("X")});
+
+  std::vector<const std::vector<FlagId>*> seen(8);
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < seen.size(); ++t) {
+    threads.emplace_back([&, t] { seen[t] = &xy.resolve(list); });
+  }
+  for (std::thread& thread : threads) thread.join();
+  for (const auto* ids : seen) EXPECT_EQ(ids, seen.front());
+  EXPECT_EQ(*seen.front(), (std::vector<FlagId>{1, kInvalidFlag, 0}));
+  EXPECT_EQ(yx.resolve(list), (std::vector<FlagId>{0, kInvalidFlag, 2}));
+
+  // Reads by id; an absent flag reads as a by-name read of it does.
+  Configuration config(yx);
+  config.set_bool("X", true);
+  const FlagReader<kListedFlags> read(config);
+  EXPECT_TRUE(read.get_bool("X"));
+  EXPECT_FALSE(read.get_bool("Y"));
+  EXPECT_FALSE(read.has("Absent"));
+  EXPECT_EQ(read.id("X"), 2u);
+  try {
+    (void)read.get("Absent");
+    ADD_FAILURE() << "read an absent flag";
+  } catch (const FlagError& e) {
+    EXPECT_STREQ(e.what(), "unknown flag: Absent");
+  }
 }
 
 TEST(HotspotCatalog, HasAtLeast600Flags) {

@@ -338,6 +338,53 @@ TEST_F(SchedulerSuite, EveryLayerReceivesTheDispatchFingerprint) {
   EXPECT_GT(resilient.stats().retries, 0) << "no retry was handed down";
 }
 
+// Under the adaptive policy alone, commit never tops up: a Welch-raced
+// measurement's mean lies above the dispatch-time incumbent snapshot it
+// raced against, and the incumbent only falls before the commit. Only the
+// first-repetition racing floor (`--racing`) races out candidates that
+// still beat the incumbent, and those are what the top-up path catches.
+TEST_F(SchedulerSuite, OnlyTheRacingFloorFeedsTheTopUp) {
+  WorkloadSpec workload = scheduler_workload();
+  workload.noise_sigma = 0.05;
+  for (const char* name : {"hill", "random", "hierarchical"}) {
+    for (const double racing_factor : {0.0, 1.02}) {
+      RunnerOptions runner_options;
+      runner_options.policy.adaptive = true;
+      runner_options.policy.max_reps = 5;
+      runner_options.policy.ci_rel = 0.02;
+      runner_options.policy.race_p = 0.05;
+      runner_options.racing_factor = racing_factor;
+      BenchmarkRunner runner(sim_, workload, runner_options);
+      FingerprintProbe probe(runner);
+
+      BudgetClock budget(SimTime::minutes(30));
+      ResultDb db;
+      const SearchSpace space(FlagHierarchy::hotspot());
+      TuningContext ctx(probe, budget, db, space, Rng(11));
+      ctx.set_measurement_policy(runner_options.policy);
+      const Configuration defaults(space.registry());
+      const std::uint64_t defaults_fp = defaults.fingerprint();
+      TuningContext::MeasuredEval base = ctx.measure_only(defaults, defaults_fp);
+      ctx.commit(defaults, defaults_fp, base, /*replayed=*/false);
+      const auto strategy = make_strategy(name);
+      EvalScheduler(ctx).run(*strategy);
+
+      int raced_out = 0;
+      for (const EvalRecord& record : db.all()) {
+        raced_out += record.stop == StopReason::kRacedOut;
+      }
+      EXPECT_GT(probe.calls(), 50) << name;
+      EXPECT_GT(raced_out, 5) << name << ": nothing raced out";
+      if (racing_factor == 0.0) {
+        EXPECT_EQ(probe.top_ups(), 0) << name << ": adaptive policy alone";
+      } else {
+        EXPECT_GT(probe.top_ups(), 0) << name << ": racing floor "
+                                      << racing_factor;
+      }
+    }
+  }
+}
+
 // ---- BudgetClock under concurrent charges -----------------------------------
 
 // Many threads charge one clock concurrently (as pooled evaluations do);

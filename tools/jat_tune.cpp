@@ -108,8 +108,11 @@ void usage() {
       "  --adaptive-reps N   confidence-driven repetitions: stop a candidate\n"
       "                      early once its CI95 converges, abandon it when a\n"
       "                      Welch test says it is worse than the incumbent,\n"
-      "                      cap at N reps; raced-out winners are topped up\n"
-      "                      to convergence before taking the incumbency\n"
+      "                      cap at N reps; with --racing, a candidate the\n"
+      "                      1-rep floor abandoned that still beats the\n"
+      "                      incumbent is topped up to convergence before\n"
+      "                      taking the incumbency (a Welch-raced one never\n"
+      "                      beats it)\n"
       "  --ci-rel X          CI95 half-width <= X * mean stops a candidate\n"
       "                      (default 0.02; needs --adaptive-reps)\n"
       "  --race-p P          Welch p-value below which a slower candidate is\n"
