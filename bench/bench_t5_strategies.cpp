@@ -32,11 +32,7 @@ int main() {
       {"random-flat",
        [] { return std::make_unique<RandomSearch>(0.15, /*flat=*/true); }},
       {"genetic-flat",
-       [] {
-         GeneticTuner::Options o;
-         o.flat = true;
-         return std::make_unique<GeneticTuner>(o);
-       }},
+       [] { return std::make_unique<GeneticTuner>(/*flat=*/true); }},
       {"bandit", [] { return std::make_unique<BanditEnsemble>(); }},
       {"ils", [] { return std::make_unique<IteratedLocalSearch>(); }},
   };

@@ -1,24 +1,33 @@
 #include "harness/resilient.hpp"
 
-#include <algorithm>
-
 #include "harness/budget.hpp"
 
 namespace jat {
 
 namespace {
+
+/// Total attempts per measurement. Only failures tagged
+/// FaultClass::kTransient are retried; config-caused crashes and timeouts
+/// fail on every attempt, so retrying them burns budget for nothing.
+constexpr int kMaxAttempts = 3;
+/// Hard (deterministic / timeout / process-crash) failures of one
+/// fingerprint before it is quarantined: later measurements are answered
+/// instantly from the blacklist instead of re-running a config known to
+/// crash the JVM.
+constexpr int kQuarantineThreshold = 2;
+/// Consecutive failed measurements (across configurations) before the
+/// circuit breaker opens and retrying stops — when the whole harness is
+/// down, paying the retry tax per candidate only drains the budget faster.
+/// A single success closes the breaker.
+constexpr int kBreakerThreshold = 10;
+/// Nominal cost of a quarantine answer (a result-database lookup).
+constexpr SimTime kQuarantineAnswerCost = SimTime::seconds(0.05);
+
 SimTime budget_position(const BudgetClock* budget) {
   return budget != nullptr ? budget->spent() : SimTime::zero();
 }
-}  // namespace
 
-ResilientEvaluator::ResilientEvaluator(Evaluator& inner,
-                                       ResilienceOptions options)
-    : inner_(&inner), options_(options) {
-  options_.max_attempts = std::max(1, options_.max_attempts);
-  options_.quarantine_threshold = std::max(1, options_.quarantine_threshold);
-  options_.breaker_threshold = std::max(1, options_.breaker_threshold);
-}
+}  // namespace
 
 FaultStats ResilientEvaluator::stats() const {
   std::lock_guard lock(mutex_);
@@ -61,7 +70,6 @@ Measurement ResilientEvaluator::measure(const Configuration& config,
       if (trace_ != nullptr) {
         trace_->emit(TraceEvent("quarantine_hit", budget_position(budget))
                          .with("fingerprint", fingerprint_hex(fingerprint)));
-        trace_->metrics().add("resilient.quarantine_hits");
       }
       Measurement m;
       m.config_fingerprint = fingerprint;
@@ -69,7 +77,7 @@ Measurement ResilientEvaluator::measure(const Configuration& config,
       m.fault = FaultClass::kQuarantined;
       m.crash_reason = "quarantined: " + it->second.reason;
       if (budget != nullptr) {
-        budget->charge(SimTime::seconds(options_.quarantine_answer_cost_s));
+        budget->charge(kQuarantineAnswerCost);
       }
       return m;
     }
@@ -86,7 +94,7 @@ Measurement ResilientEvaluator::measure(const Configuration& config,
     {
       std::lock_guard lock(mutex_);
       retry = m.fault == FaultClass::kTransient &&
-              attempt + 1 < options_.max_attempts && !breaker_open_ &&
+              attempt + 1 < kMaxAttempts && !breaker_open_ &&
               (budget == nullptr || !budget->exhausted()) &&
               !is_cancelled(cancel_);
       if (retry) ++stats_.retries;
@@ -99,7 +107,6 @@ Measurement ResilientEvaluator::measure(const Configuration& config,
                        .with("fingerprint", fingerprint_hex(fingerprint))
                        .with("attempt", static_cast<std::int64_t>(attempt))
                        .with("fault", std::string(to_string(m.fault))));
-      trace_->metrics().add("resilient.retries");
     }
   }
   m.attempts = attempt + 1;
@@ -117,12 +124,10 @@ Measurement ResilientEvaluator::measure(const Configuration& config,
       trace_->emit(TraceEvent("quarantine", budget_position(budget))
                        .with("fingerprint", fingerprint_hex(fingerprint))
                        .with("reason", m.crash_reason));
-      trace_->metrics().add("resilient.quarantined");
     }
     if (effect.breaker != 0) {
       trace_->emit(TraceEvent("breaker", budget_position(budget))
                        .with("open", effect.breaker > 0));
-      if (effect.breaker > 0) trace_->metrics().add("resilient.breaker_trips");
     }
   }
   return m;
@@ -147,13 +152,13 @@ ResilientEvaluator::Effect ResilientEvaluator::apply_outcome(
     CrashRecord& record = records_[m.config_fingerprint];
     record.reason = m.crash_reason;
     if (!record.quarantined &&
-        ++record.hard_failures >= options_.quarantine_threshold) {
+        ++record.hard_failures >= kQuarantineThreshold) {
       record.quarantined = true;
       ++stats_.quarantined;
       effect.quarantined = true;
     }
   }
-  if (++consecutive_failures_ >= options_.breaker_threshold && !breaker_open_) {
+  if (++consecutive_failures_ >= kBreakerThreshold && !breaker_open_) {
     breaker_open_ = true;
     ++stats_.breaker_trips;
     effect.breaker = 1;

@@ -10,6 +10,9 @@
 // accounting stays honest), per-fingerprint crash quarantine (known-bad
 // configs are answered instantly), and an evaluator-wide circuit breaker
 // (consecutive failures across distinct configs degrade it to fail-fast).
+// The thresholds are constants (resilient.cpp): 3 attempts per measurement,
+// quarantine at the second hard failure of one fingerprint, the breaker open
+// after 10 consecutive failed measurements, 0.05 s per quarantine answer.
 #pragma once
 
 #include <cstdint>
@@ -24,29 +27,9 @@
 
 namespace jat {
 
-struct ResilienceOptions {
-  /// Total attempts per measurement (1 = no retry). Only failures tagged
-  /// FaultClass::kTransient are retried; config-caused crashes and
-  /// timeouts fail on every attempt, so retrying them burns budget for
-  /// nothing.
-  int max_attempts = 3;
-  /// Hard (deterministic / timeout / process-crash) failures of one
-  /// fingerprint before it is quarantined: later measurements are answered
-  /// instantly from the blacklist instead of re-running a config known to
-  /// crash the JVM.
-  int quarantine_threshold = 2;
-  /// Consecutive failed measurements (across configurations) before the
-  /// circuit breaker opens and retrying stops — when the whole harness is
-  /// down, paying the retry tax per candidate only drains the budget
-  /// faster. A single success closes the breaker.
-  int breaker_threshold = 10;
-  /// Nominal cost of a quarantine answer (a result-database lookup).
-  double quarantine_answer_cost_s = 0.05;
-};
-
 class ResilientEvaluator : public Evaluator {
  public:
-  ResilientEvaluator(Evaluator& inner, ResilienceOptions options = {});
+  explicit ResilientEvaluator(Evaluator& inner) : inner_(&inner) {}
 
   Measurement measure(const Configuration& config, std::uint64_t fingerprint,
                       BudgetClock* budget, const EvalHints& hints) override;
@@ -61,8 +44,7 @@ class ResilientEvaluator : public Evaluator {
   bool is_quarantined(std::uint64_t fingerprint) const;
 
   /// Attaches a trace sink (null to detach): retries, quarantine decisions
-  /// and answers, and breaker transitions are emitted as typed events and
-  /// counted in the sink's metrics.
+  /// and answers, and breaker transitions are emitted as typed events.
   void set_trace_sink(TraceSink* trace) { trace_ = trace; }
 
   /// Attaches a cooperative cancellation token (null to detach): a
@@ -95,7 +77,6 @@ class ResilientEvaluator : public Evaluator {
   Effect apply_outcome(const Measurement& m);
 
   Evaluator* inner_;
-  ResilienceOptions options_;
   TraceSink* trace_ = nullptr;
   const CancellationToken* cancel_ = nullptr;
 

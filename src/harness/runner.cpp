@@ -125,7 +125,6 @@ void BenchmarkRunner::store_put(const Configuration& config,
     ++store_appends_;
   }
   options_.store->put(std::move(record));
-  if (trace_ != nullptr) trace_->metrics().add("runner.store_appends");
 }
 
 Measurement BenchmarkRunner::measure(const Configuration& config,
@@ -169,7 +168,6 @@ Measurement BenchmarkRunner::measure_with(const Configuration& config,
                                                    : SimTime::zero())
                            .with("fingerprint", fingerprint_hex(fingerprint))
                            .with("joined", false));
-          trace_->metrics().add("runner.cache_hits");
         }
         return it->second;
       }
@@ -182,7 +180,6 @@ Measurement BenchmarkRunner::measure_with(const Configuration& config,
                                                  ? budget->spent()
                                                  : SimTime::zero())
                          .with("fingerprint", fingerprint_hex(fingerprint)));
-        trace_->metrics().add("runner.store_hits");
       }
       return *stored;
     }
@@ -288,48 +285,50 @@ Measurement BenchmarkRunner::measure_uncached(std::uint64_t fingerprint,
         std::lock_guard lock(mutex_);
         count_fault(stats_, fault);
       }
-      if (options_.fail_fast) break;
-    } else {
-      m.times_ms.push_back(run.total_time.as_millis());
-      MetricVector metrics;
-      metrics[MetricId::kTotalTimeMs] = run.total_time.as_millis();
-      metrics[MetricId::kStartupTimeMs] = run.startup_time.as_millis();
-      metrics[MetricId::kThroughput] = run.throughput();
-      metrics[MetricId::kGcPauseMaxMs] = run.gc_pause_max.as_millis();
-      metrics[MetricId::kGcPauseTotalMs] = run.gc_pause_total.as_millis();
-      metrics[MetricId::kPeakHeapMb] =
-          static_cast<double>(run.peak_heap_used) / (1024.0 * 1024.0);
-      m.rep_metrics.push_back(metrics);
-      const double rep_scalar = objective.rep_value(metrics);
-      sample.add(rep_scalar);
+      // A failed repetition ends the measurement; the ones before it are
+      // salvaged below.
+      break;
+    }
+    m.times_ms.push_back(run.total_time.as_millis());
+    MetricVector metrics;
+    metrics[MetricId::kTotalTimeMs] = run.total_time.as_millis();
+    metrics[MetricId::kStartupTimeMs] = run.startup_time.as_millis();
+    metrics[MetricId::kThroughput] = run.throughput();
+    metrics[MetricId::kGcPauseMaxMs] = run.gc_pause_max.as_millis();
+    metrics[MetricId::kGcPauseTotalMs] = run.gc_pause_total.as_millis();
+    metrics[MetricId::kPeakHeapMb] =
+        static_cast<double>(run.peak_heap_used) / (1024.0 * 1024.0);
+    m.rep_metrics.push_back(metrics);
+    const double rep_scalar = objective.rep_value(metrics);
+    sample.add(rep_scalar);
 
-      // Racing: abandon clear losers after their first repetition. The
-      // floor is a multiplicative threshold, so it only applies on
-      // positive scales (negated objectives skip it; the Welch racing in
-      // the adaptive policy covers them instead).
-      if (rep == 0 && options_.racing_factor > 0.0 &&
-          objective.positive_scale()) {
-        const double first = rep_scalar;
-        const double floor = best_first_rep_ms_.load(std::memory_order_relaxed);
-        if (floor > 0.0 && first > floor * options_.racing_factor) {
-          stop = StopReason::kRacedOut;
-          break;
-        }
-        merge_racing_floor_ms(first);
-      }
-
-      // Adaptive policy: stop when the mean has converged, abandon when a
-      // Welch test against the incumbent says this candidate is worse.
-      const MeasurementPolicy::Decision decision = policy.after_rep(sample);
-      if (decision == MeasurementPolicy::Decision::kConverged) {
-        stop = StopReason::kConverged;
-        break;
-      }
-      if (decision == MeasurementPolicy::Decision::kRacedOut) {
+    // Racing: abandon clear losers after their first repetition. The
+    // floor is a multiplicative threshold, so it only applies on
+    // positive scales (negated objectives skip it; the Welch racing in
+    // the adaptive policy covers them instead).
+    if (rep == 0 && options_.racing_factor > 0.0 &&
+        objective.positive_scale()) {
+      const double first = rep_scalar;
+      const double floor = best_first_rep_ms_.load(std::memory_order_relaxed);
+      if (floor > 0.0 && first > floor * options_.racing_factor) {
         stop = StopReason::kRacedOut;
         break;
       }
+      merge_racing_floor_ms(first);
     }
+
+    // Adaptive policy: stop when the mean has converged, abandon when a
+    // Welch test against the incumbent says this candidate is worse.
+    const MeasurementPolicy::Decision decision = policy.after_rep(sample);
+    if (decision == MeasurementPolicy::Decision::kConverged) {
+      stop = StopReason::kConverged;
+      break;
+    }
+    if (decision == MeasurementPolicy::Decision::kRacedOut) {
+      stop = StopReason::kRacedOut;
+      break;
+    }
+
     // Keep the overshoot bounded by one run: once the budget expires
     // mid-measurement, what has been collected so far is the measurement.
     if (budget != nullptr && budget->exhausted()) {

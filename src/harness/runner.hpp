@@ -33,8 +33,6 @@ struct RunnerOptions {
   /// Fixed per-run harness overhead charged to the budget (process spawn,
   /// result parsing). Simulated seconds.
   double per_run_overhead_s = 2.0;
-  /// Stop repeating a crashed configuration after the first failure.
-  bool fail_fast = true;
   /// Racing (adaptive repetitions): when > 0, a candidate whose *first*
   /// repetition is more than `racing_factor` times the best first
   /// repetition seen so far is abandoned with a single-sample measurement.
@@ -128,9 +126,9 @@ class BenchmarkRunner : public Evaluator {
   /// Cache hits so far (also in counters()).
   std::int64_t cache_hits() const { return cache_hits_; }
 
-  /// Attaches a trace sink (null to detach): cache hits are emitted as
-  /// `cache_hit` events and counted in the sink's metrics. The runner never
-  /// emits when no sink is attached.
+  /// Attaches a trace sink (null to detach): cache and store hits are
+  /// emitted as `cache_hit` and `store_hit` events. The runner never emits
+  /// when no sink is attached.
   void set_trace_sink(TraceSink* trace) { trace_ = trace; }
 
   /// Attaches a cooperative cancellation token (null to detach). A
@@ -178,8 +176,10 @@ class BenchmarkRunner : public Evaluator {
   /// Runs the repetition loop for `config`. The start check runs once,
   /// before the loop; the decode and the simulation run once, at the first
   /// repetition of a startable configuration, and every repetition noises a
-  /// copy of that one trajectory with its own seed. `decode` supplies the
-  /// start check and the decode.
+  /// copy of that one trajectory with its own seed. A failed repetition
+  /// ends the loop: the successful ones before it are the measurement
+  /// (salvaged), and with none it is a crash. `decode` supplies the start
+  /// check and the decode.
   /// `base` (may be null) is a previous partial measurement to continue
   /// from: repetitions resume at its count, so the merged result is
   /// bit-identical to a from-scratch full measurement.

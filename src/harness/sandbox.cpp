@@ -636,8 +636,19 @@ void SandboxedEvaluator::emit_event(const char* name, const Worker& worker,
                      .with("worker", static_cast<std::int64_t>(worker.index))
                      .with("pid", static_cast<std::int64_t>(worker.pid)));
   }
-  trace_->metrics().add(std::string("sandbox.") + name);
 }
+
+namespace {
+
+/// Grace between the watchdog's SIGTERM and its SIGKILL.
+constexpr auto kKillGrace = std::chrono::milliseconds(500);
+/// Simulated budget charged for a worker crash (spawn + failure detection;
+/// the same as FaultOptions::failure_cost) and for a deadline kill (the
+/// harness paid for the full hang; the same as FaultOptions::hang_timeout).
+constexpr SimTime kCrashCost = SimTime::seconds(3);
+constexpr SimTime kHangCost = SimTime::seconds(60);
+
+}  // namespace
 
 Measurement SandboxedEvaluator::measure(const Configuration& config,
                                         std::uint64_t fingerprint,
@@ -699,8 +710,7 @@ Measurement SandboxedEvaluator::measure(const Configuration& config,
     if (io == IoStatus::kTimeout) {
       emit_event("sandbox_kill", worker, budget, "stage", "term");
       ::kill(worker.pid, SIGTERM);
-      kill_at =
-          Clock::now() + std::chrono::milliseconds(options_.kill_grace_ms);
+      kill_at = Clock::now() + kKillGrace;
     } else if (io == IoStatus::kBadFrame) {
       kill_at = Clock::now();
     }
@@ -712,8 +722,7 @@ Measurement SandboxedEvaluator::measure(const Configuration& config,
     Measurement m = classify_death(io, exited ? &status : nullptr, options_);
     m.config_fingerprint = fingerprint;
     if (budget != nullptr) {
-      budget->charge(m.fault == FaultClass::kTimeout ? options_.hang_cost
-                                                     : options_.crash_cost);
+      budget->charge(m.fault == FaultClass::kTimeout ? kHangCost : kCrashCost);
     }
     emit_event("worker_exit", worker, budget, "cause",
                io == IoStatus::kTimeout
@@ -748,7 +757,6 @@ Measurement SandboxedEvaluator::measure(const Configuration& config,
                             budget != nullptr ? budget->spent() : SimTime::zero())
                      .with("fingerprint", fingerprint_hex(fingerprint))
                      .with("joined", false));
-    trace_->metrics().add("runner.cache_hits");
   }
   if (trace_ != nullptr && reply.delta.store_hits > 0) {
     // Likewise mirror worker-side store hits (at most one per request:
@@ -756,10 +764,6 @@ Measurement SandboxedEvaluator::measure(const Configuration& config,
     trace_->emit(TraceEvent("store_hit",
                             budget != nullptr ? budget->spent() : SimTime::zero())
                      .with("fingerprint", fingerprint_hex(fingerprint)));
-    trace_->metrics().add("runner.store_hits");
-  }
-  if (trace_ != nullptr && reply.delta.store_appends > 0) {
-    trace_->metrics().add("runner.store_appends", reply.delta.store_appends);
   }
   return m;
 }

@@ -34,7 +34,8 @@
 //   length, checksum, payload, seq or fingerprint is wrong gets a live
 //   worker killed and is kTransient (a retryable infrastructure flake); a
 //   worker that already exited is classified by its own status. In every
-//   case the worker is respawned lazily and the classified Measurement
+//   case the worker is respawned lazily and the classified Measurement,
+//   charged 60 simulated seconds for a timeout and 3 for any other death,
 //   flows into ResilientEvaluator's retry/quarantine machinery unchanged.
 //
 // Determinism
@@ -92,22 +93,15 @@ struct SandboxOptions {
   /// workers = more isolation domains and more parallel capacity.
   std::size_t workers = 2;
   /// Wall-clock deadline per measurement in seconds; 0 disables the
-  /// watchdog (a worker may then block its pipe indefinitely).
+  /// watchdog (a worker may then block its pipe indefinitely). Past it the
+  /// worker gets SIGTERM, and SIGKILL 500 ms later.
   double eval_deadline_s = 0.0;
-  /// Grace between SIGTERM and SIGKILL when the deadline expires.
-  int kill_grace_ms = 500;
   /// Per-worker RLIMIT_CPU in seconds (0 = inherit). The kernel delivers
   /// SIGXCPU at the soft limit — classified kTimeout, like a hang.
   long rlimit_cpu_s = 0;
   /// Per-worker RLIMIT_AS in MiB (0 = inherit). A memory-exploding
   /// evaluation dies in its own address space, not the tuner's.
   long rlimit_as_mb = 0;
-  /// Simulated budget cost charged for a worker crash (spawn + failure
-  /// detection; mirrors FaultOptions::failure_cost).
-  SimTime crash_cost = SimTime::seconds(3);
-  /// Simulated budget cost charged for a deadline kill (the harness paid
-  /// for the full hang; mirrors FaultOptions::hang_timeout).
-  SimTime hang_cost = SimTime::seconds(60);
   SandboxFaultInjection inject;
 };
 

@@ -284,7 +284,9 @@ const std::vector<EventSpec>& schema() {
         {"runs", FieldKind::kInt},
         {"cache_hits", FieldKind::kInt},
         {"budget_spent_s", FieldKind::kNumber}}},
-      {"metrics", {}},  // free-form counter/gauge snapshot
+      // A free-form counter snapshot that only older builds wrote as a
+      // session's last line; kept so their traces still validate.
+      {"metrics", {}},
   };
   return specs;
 }

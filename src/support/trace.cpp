@@ -8,7 +8,6 @@
 #include <fstream>
 #include <limits>
 #include <ostream>
-#include <sstream>
 
 #include "support/error.hpp"
 
@@ -58,70 +57,6 @@ bool TraceEvent::get_bool(std::string_view key, bool fallback) const {
   if (const auto* b = std::get_if<bool>(v)) return *b;
   if (const auto* i = std::get_if<std::int64_t>(v)) return *i != 0;
   return fallback;
-}
-
-// ---- MetricsRegistry --------------------------------------------------------
-
-void MetricsRegistry::add(std::string_view name, std::int64_t delta) {
-  std::lock_guard lock(mutex_);
-  auto it = counters_.find(name);
-  if (it == counters_.end()) {
-    counters_.emplace(std::string(name), delta);
-  } else {
-    it->second += delta;
-  }
-}
-
-void MetricsRegistry::set_gauge(std::string_view name, double value) {
-  std::lock_guard lock(mutex_);
-  auto it = gauges_.find(name);
-  if (it == gauges_.end()) {
-    gauges_.emplace(std::string(name), value);
-  } else {
-    it->second = value;
-  }
-}
-
-std::int64_t MetricsRegistry::counter(std::string_view name) const {
-  std::lock_guard lock(mutex_);
-  const auto it = counters_.find(name);
-  return it == counters_.end() ? 0 : it->second;
-}
-
-double MetricsRegistry::gauge(std::string_view name) const {
-  std::lock_guard lock(mutex_);
-  const auto it = gauges_.find(name);
-  return it == gauges_.end() ? 0.0 : it->second;
-}
-
-std::map<std::string, std::int64_t> MetricsRegistry::counters() const {
-  std::lock_guard lock(mutex_);
-  return {counters_.begin(), counters_.end()};
-}
-
-std::map<std::string, double> MetricsRegistry::gauges() const {
-  std::lock_guard lock(mutex_);
-  return {gauges_.begin(), gauges_.end()};
-}
-
-std::string MetricsRegistry::to_string() const {
-  std::lock_guard lock(mutex_);
-  std::ostringstream out;
-  bool first = true;
-  for (const auto& [name, value] : counters_) {
-    if (value == 0) continue;
-    if (!first) out << ' ';
-    out << name << '=' << value;
-    first = false;
-  }
-  for (const auto& [name, value] : gauges_) {
-    if (!first) out << ' ';
-    char buf[48];
-    std::snprintf(buf, sizeof buf, "%g", value);
-    out << name << '=' << buf;
-    first = false;
-  }
-  return out.str();
 }
 
 // ---- JSON rendering ---------------------------------------------------------
@@ -488,25 +423,6 @@ void scan_trace_jsonl_fields(std::string_view line, std::size_t line_no,
                              bool brace_implied,
                              const JsonFieldVisitor& visit) {
   LineParser(line, line_no, brace_implied).scan(visit);
-}
-
-std::vector<TraceEvent> TraceSink::load_jsonl(std::istream& in) {
-  std::vector<TraceEvent> events;
-  std::string line;
-  std::size_t line_no = 0;
-  while (std::getline(in, line)) {
-    ++line_no;
-    if (!line.empty() && line.back() == '\r') line.pop_back();
-    if (line.empty()) continue;
-    events.push_back(parse_trace_jsonl_line(line, line_no));
-  }
-  return events;
-}
-
-std::vector<TraceEvent> TraceSink::load_jsonl_file(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) throw Error("cannot open trace file: " + path);
-  return load_jsonl(in);
 }
 
 std::vector<TraceEvent> TraceSink::load_jsonl_lenient(std::istream& in,

@@ -1,14 +1,14 @@
-// Structured session tracing and metrics.
+// Structured session tracing.
 //
 // A tuning session's ResultDb records *what* was measured; it says nothing
 // about *why* — which phase proposed a candidate, when the incumbent moved,
 // which measurements were answered from cache, what the resilience layer
 // retried or quarantined. TraceSink is the observability layer the
 // evaluation pipeline emits those decisions into: a lock-safe, append-only
-// log of typed events with a JSONL export, plus a counters/gauges
-// MetricsRegistry for cheap aggregate instrumentation. Everything is a
-// no-op when no sink is attached, so the tracing layer costs nothing when
-// disabled (callers guard on a null pointer; no event is even built).
+// log of typed events with a JSONL export. Everything is a no-op when no
+// sink is attached, so the tracing layer costs nothing when disabled
+// (callers guard on a null pointer; no event is even built). Aggregates are
+// computed from the events afterwards (harness/trace_analysis.hpp).
 //
 // The event schema is documented in EXPERIMENTS.md ("Trace event schema")
 // and enforced by validate_trace_event() in harness/trace_analysis.hpp;
@@ -19,7 +19,6 @@
 #include <cstdint>
 #include <functional>
 #include <iosfwd>
-#include <map>
 #include <mutex>
 #include <string>
 #include <string_view>
@@ -65,33 +64,9 @@ struct TraceEvent {
   bool get_bool(std::string_view key, bool fallback = false) const;
 };
 
-/// Counters and gauges, keyed by name. Thread-safe; names are created on
-/// first touch. Counters are monotone int64 sums, gauges last-write-wins
-/// doubles.
-class MetricsRegistry {
- public:
-  void add(std::string_view name, std::int64_t delta = 1);
-  void set_gauge(std::string_view name, double value);
-
-  std::int64_t counter(std::string_view name) const;
-  double gauge(std::string_view name) const;
-
-  std::map<std::string, std::int64_t> counters() const;
-  std::map<std::string, double> gauges() const;
-
-  /// "name=3 other=1.5 ..." rendering of all non-zero metrics, sorted.
-  std::string to_string() const;
-
- private:
-  mutable std::mutex mutex_;
-  std::map<std::string, std::int64_t, std::less<>> counters_;
-  std::map<std::string, double, std::less<>> gauges_;
-};
-
-/// Lock-safe append-only event log with an embedded MetricsRegistry.
-/// Sessions and evaluators hold a TraceSink* that is null when tracing is
-/// disabled; every emit site guards on the pointer, so a disabled trace
-/// costs one branch per event site.
+/// Lock-safe append-only event log. Sessions and evaluators hold a
+/// TraceSink* that is null when tracing is disabled; every emit site guards
+/// on the pointer, so a disabled trace costs one branch per event site.
 class TraceSink {
  public:
   /// Appends an event (thread-safe). Event order is arrival order; under
@@ -104,23 +79,16 @@ class TraceSink {
   /// Events of one type, in arrival order.
   std::vector<TraceEvent> events_of(std::string_view type) const;
 
-  MetricsRegistry& metrics() { return metrics_; }
-  const MetricsRegistry& metrics() const { return metrics_; }
-
   /// One JSON object per line: {"type":...,"t_s":...,<fields...>}.
   void write_jsonl(std::ostream& out) const;
   bool save_jsonl(const std::string& path) const;
 
   /// Parses a stream/file written by write_jsonl (and only that dialect:
-  /// flat objects of strings, numbers, and booleans). Throws jat::Error on
-  /// malformed input.
-  static std::vector<TraceEvent> load_jsonl(std::istream& in);
-  static std::vector<TraceEvent> load_jsonl_file(const std::string& path);
-
-  /// Like load_jsonl, but tolerant of a crashed writer: a malformed *final*
-  /// line (a record torn mid-write) is dropped — with a diagnostic in
-  /// `warning` when given — instead of failing the whole file. Corruption
-  /// anywhere before the final line still throws.
+  /// flat objects of strings, numbers, and booleans), tolerant of a
+  /// crashed writer: a malformed *final* line (a record torn mid-write) is
+  /// dropped — with a diagnostic in `warning` when given — instead of
+  /// failing the whole file. Corruption anywhere before the final line
+  /// throws jat::Error.
   static std::vector<TraceEvent> load_jsonl_lenient(
       std::istream& in, std::string* warning = nullptr);
   static std::vector<TraceEvent> load_jsonl_file_lenient(
@@ -129,7 +97,6 @@ class TraceSink {
  private:
   mutable std::mutex mutex_;
   std::vector<TraceEvent> events_;
-  MetricsRegistry metrics_;
 };
 
 /// Serialises one event as a single-line JSON object (no trailing newline).

@@ -44,13 +44,7 @@ class RandomSearch : public SearchStrategy {
 /// structural moves and random restarts on stagnation.
 class HillClimber : public SearchStrategy {
  public:
-  struct Options {
-    int stagnation_limit = 40;       ///< failures before a restart
-    double structure_probability = 0.08;
-    bool flat = false;               ///< ablation: mutate over all flags
-  };
   HillClimber();
-  explicit HillClimber(Options options);
   ~HillClimber() override;
   std::string name() const override;
   void begin(StrategyContext& ctx) override;
@@ -59,7 +53,6 @@ class HillClimber : public SearchStrategy {
 
  private:
   struct Impl;
-  Options options_;
   std::unique_ptr<Impl> impl_;
 };
 
@@ -67,12 +60,7 @@ class HillClimber : public SearchStrategy {
 /// consumption.
 class SimulatedAnnealing : public SearchStrategy {
  public:
-  struct Options {
-    double initial_temp_frac = 0.08;  ///< of the default objective
-    double structure_probability = 0.06;
-  };
   SimulatedAnnealing();
-  explicit SimulatedAnnealing(Options options);
   ~SimulatedAnnealing() override;
   std::string name() const override;
   void begin(StrategyContext& ctx) override;
@@ -81,26 +69,16 @@ class SimulatedAnnealing : public SearchStrategy {
 
  private:
   struct Impl;
-  Options options_;
   std::unique_ptr<Impl> impl_;
 };
 
 /// Generational GA with tournament selection, uniform crossover, elitism.
 /// A generation streams through the scheduler window; breeding happens at
-/// the generation barrier (all results in).
+/// the generation barrier (all results in). `flat` swaps in the
+/// structure-blind operators (bench_t5's "genetic-flat" baseline).
 class GeneticTuner : public SearchStrategy {
  public:
-  struct Options {
-    int population = 20;
-    int elite = 2;
-    int tournament = 3;
-    double crossover_probability = 0.7;
-    double structure_probability = 0.08;
-    double init_density = 0.10;  ///< randomised flag fraction in generation 0
-    bool flat = false;           ///< ablation: flat operators
-  };
-  GeneticTuner();
-  explicit GeneticTuner(Options options);
+  explicit GeneticTuner(bool flat = false);
   ~GeneticTuner() override;
   std::string name() const override;
   void begin(StrategyContext& ctx) override;
@@ -109,7 +87,7 @@ class GeneticTuner : public SearchStrategy {
 
  private:
   struct Impl;
-  Options options_;
+  bool flat_;
   std::unique_ptr<Impl> impl_;
 };
 
@@ -117,12 +95,7 @@ class GeneticTuner : public SearchStrategy {
 /// mutation/crossover/random/structure operators.
 class BanditEnsemble : public SearchStrategy {
  public:
-  struct Options {
-    std::size_t window = 60;
-    double exploration = 0.3;
-  };
   BanditEnsemble();
-  explicit BanditEnsemble(Options options);
   ~BanditEnsemble() override;
   std::string name() const override;
   void begin(StrategyContext& ctx) override;
@@ -131,7 +104,6 @@ class BanditEnsemble : public SearchStrategy {
 
  private:
   struct Impl;
-  Options options_;
   std::unique_ptr<Impl> impl_;
 };
 
@@ -139,13 +111,7 @@ class BanditEnsemble : public SearchStrategy {
 /// descent, perturbation kicks, better-acceptance between basins.
 class IteratedLocalSearch : public SearchStrategy {
  public:
-  struct Options {
-    int descent_patience = 25;  ///< consecutive failures ending a descent
-    int kick_strength = 6;      ///< simultaneous mutations per perturbation
-    double structure_kick_probability = 0.15;
-  };
   IteratedLocalSearch();
-  explicit IteratedLocalSearch(Options options);
   ~IteratedLocalSearch() override;
   std::string name() const override;
   void begin(StrategyContext& ctx) override;
@@ -154,7 +120,6 @@ class IteratedLocalSearch : public SearchStrategy {
 
  private:
   struct Impl;
-  Options options_;
   std::unique_ptr<Impl> impl_;
 };
 
@@ -166,12 +131,10 @@ class IteratedLocalSearch : public SearchStrategy {
 /// asks; geometric line searches extend in speculative chunks.
 class HierarchicalTuner : public SearchStrategy {
  public:
+  /// bench_f7's ablation switches.
   struct Options {
-    double structural_budget_frac = 0.15;
-    double subtree_budget_frac = 0.55;  ///< remainder goes to refinement
-    int values_per_flag = 4;            ///< candidates per flag in descent
-    bool structural_first = true;       ///< ablation: skip phase ordering
-    bool gate_subtrees = true;          ///< ablation: tune inactive flags too
+    bool structural_first = true;  ///< false: skip the structural phase
+    bool gate_subtrees = true;     ///< false: tune inactive flags too
   };
   HierarchicalTuner();
   explicit HierarchicalTuner(Options options);

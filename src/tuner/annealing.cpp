@@ -6,6 +6,11 @@
 
 namespace jat {
 
+namespace {
+constexpr double kInitialTempFrac = 0.08;  ///< of the default objective
+constexpr double kStructureProbability = 0.06;
+}  // namespace
+
 // Speculative annealing: ask() emits mutations of the current point,
 // tell() runs the Metropolis acceptance with the temperature taken from
 // *committed* budget consumption (deterministic across eval_threads).
@@ -21,8 +26,7 @@ struct SimulatedAnnealing::Impl {
       : current(std::move(seed)), current_objective(objective) {}
 };
 
-SimulatedAnnealing::SimulatedAnnealing() : SimulatedAnnealing(Options{}) {}
-SimulatedAnnealing::SimulatedAnnealing(Options options) : options_(options) {}
+SimulatedAnnealing::SimulatedAnnealing() = default;
 SimulatedAnnealing::~SimulatedAnnealing() = default;
 
 std::string SimulatedAnnealing::name() const { return "annealing"; }
@@ -32,7 +36,7 @@ void SimulatedAnnealing::begin(StrategyContext& ctx) {
   ctx.set_phase("annealing");
   impl_ = std::make_unique<Impl>(ctx.best_config(), ctx.best_objective());
   impl_->initial_temp = std::isfinite(impl_->current_objective)
-                            ? impl_->current_objective * options_.initial_temp_frac
+                            ? impl_->current_objective * kInitialTempFrac
                             : 1000.0;
 }
 
@@ -40,7 +44,7 @@ void SimulatedAnnealing::ask(std::vector<Proposal>& out, std::size_t max) {
   Impl& s = *impl_;
   while (out.size() < max) {
     Configuration candidate = s.current;
-    if (ctx().rng().chance(options_.structure_probability)) {
+    if (ctx().rng().chance(kStructureProbability)) {
       ctx().space().mutate_structure(candidate, ctx().rng());
     } else {
       const int flags = 1 + static_cast<int>(ctx().rng().next_below(3));

@@ -20,15 +20,12 @@ namespace jat {
 
 namespace {
 
+constexpr std::size_t kWindow = 60;  ///< outcomes remembered per operator
+constexpr double kExploration = 0.3;
+
 struct OperatorStats {
   std::deque<bool> window;  ///< recent outcomes (true = improved)
   std::size_t uses = 0;
-
-  void note(bool improved, std::size_t window_cap) {
-    window.push_back(improved);
-    if (window.size() > window_cap) window.pop_front();
-    ++uses;
-  }
 
   /// Area-under-curve credit: recent successes weigh more.
   double auc() const {
@@ -66,8 +63,7 @@ struct BanditEnsemble::Impl {
       : current(std::move(seed)), current_objective(objective) {}
 };
 
-BanditEnsemble::BanditEnsemble() : BanditEnsemble(Options{}) {}
-BanditEnsemble::BanditEnsemble(Options options) : options_(options) {}
+BanditEnsemble::BanditEnsemble() = default;
 BanditEnsemble::~BanditEnsemble() = default;
 
 std::string BanditEnsemble::name() const { return "bandit"; }
@@ -86,7 +82,7 @@ void BanditEnsemble::ask(std::vector<Proposal>& out, std::size_t max) {
     double best_score = -1.0;
     for (std::size_t i = 0; i < s.stats.size(); ++i) {
       const double bonus =
-          options_.exploration *
+          kExploration *
           std::sqrt(std::log(static_cast<double>(s.total_uses + 2)) /
                     static_cast<double>(s.stats[i].uses + 1));
       const double score = s.stats[i].auc() + bonus;
@@ -136,7 +132,7 @@ void BanditEnsemble::tell(const Observation& observation) {
   const bool improved = observation.objective < s.current_objective;
   OperatorStats& op = s.stats[observation.tag];
   op.window.push_back(improved);
-  if (op.window.size() > options_.window) op.window.pop_front();
+  if (op.window.size() > kWindow) op.window.pop_front();
   if (improved) {
     s.current = *observation.config;
     s.current_objective = observation.objective;

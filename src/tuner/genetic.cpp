@@ -9,6 +9,14 @@ namespace jat {
 
 namespace {
 
+constexpr std::size_t kPopulation = 20;
+constexpr std::size_t kElite = 2;
+constexpr int kTournament = 3;
+constexpr double kCrossoverProbability = 0.7;
+constexpr double kStructureProbability = 0.08;
+/// Fraction of flags randomised in generation 0's individuals.
+constexpr double kInitDensity = 0.10;
+
 /// Index of the tournament winner (lowest objective) among `k` random picks.
 std::size_t tournament_pick(const std::vector<double>& fitness, int k, Rng& rng) {
   std::size_t best = rng.next_below(fitness.size());
@@ -26,19 +34,17 @@ std::size_t tournament_pick(const std::vector<double>& fitness, int k, Rng& rng)
 // generation barrier, once every member's result has been told. The window
 // naturally drains across the barrier and refills from the new generation.
 struct GeneticTuner::Impl {
-  std::size_t population_size = 0;
   std::vector<Configuration> population;
   std::vector<double> fitness;
   std::size_t next_to_propose = 0;
   std::size_t results = 0;
 };
 
-GeneticTuner::GeneticTuner() : GeneticTuner(Options{}) {}
-GeneticTuner::GeneticTuner(Options options) : options_(options) {}
+GeneticTuner::GeneticTuner(bool flat) : flat_(flat) {}
 GeneticTuner::~GeneticTuner() = default;
 
 std::string GeneticTuner::name() const {
-  return options_.flat ? "genetic-flat" : "genetic";
+  return flat_ ? "genetic-flat" : "genetic";
 }
 
 void GeneticTuner::begin(StrategyContext& ctx) {
@@ -46,19 +52,16 @@ void GeneticTuner::begin(StrategyContext& ctx) {
   ctx.set_phase("genetic");
   impl_ = std::make_unique<Impl>();
   Impl& s = *impl_;
-  s.population_size = static_cast<std::size_t>(std::max(4, options_.population));
 
   // Generation 0: the incumbent plus lightly-randomised individuals.
-  s.population.reserve(s.population_size);
+  s.population.reserve(kPopulation);
   s.population.push_back(ctx.best_config());
-  while (s.population.size() < s.population_size) {
+  while (s.population.size() < kPopulation) {
     s.population.push_back(
-        options_.flat
-            ? ctx.space().random_config_flat(ctx.rng(), options_.init_density)
-            : ctx.space().random_config(ctx.rng(), options_.init_density));
+        flat_ ? ctx.space().random_config_flat(ctx.rng(), kInitDensity)
+              : ctx.space().random_config(ctx.rng(), kInitDensity));
   }
-  s.fitness.assign(s.population_size,
-                   std::numeric_limits<double>::infinity());
+  s.fitness.assign(kPopulation, std::numeric_limits<double>::infinity());
 }
 
 void GeneticTuner::ask(std::vector<Proposal>& out, std::size_t max) {
@@ -84,29 +87,25 @@ void GeneticTuner::tell(const Observation& observation) {
   });
 
   std::vector<Configuration> next;
-  next.reserve(s.population_size);
-  for (int e = 0; e < options_.elite &&
-                  next.size() < s.population_size &&
-                  static_cast<std::size_t>(e) < order.size();
-       ++e) {
-    next.push_back(s.population[order[static_cast<std::size_t>(e)]]);
+  next.reserve(kPopulation);
+  for (std::size_t e = 0; e < kElite; ++e) {
+    next.push_back(s.population[order[e]]);
   }
 
-  while (next.size() < s.population_size) {
-    const std::size_t a =
-        tournament_pick(s.fitness, options_.tournament, ctx().rng());
+  while (next.size() < kPopulation) {
+    const std::size_t a = tournament_pick(s.fitness, kTournament, ctx().rng());
     Configuration child = s.population[a];
-    if (ctx().rng().chance(options_.crossover_probability)) {
+    if (ctx().rng().chance(kCrossoverProbability)) {
       const std::size_t b =
-          tournament_pick(s.fitness, options_.tournament, ctx().rng());
+          tournament_pick(s.fitness, kTournament, ctx().rng());
       child = ctx().space().crossover(s.population[a], s.population[b],
                                       ctx().rng());
     }
-    if (!options_.flat && ctx().rng().chance(options_.structure_probability)) {
+    if (!flat_ && ctx().rng().chance(kStructureProbability)) {
       ctx().space().mutate_structure(child, ctx().rng());
     }
     const int flags = 1 + static_cast<int>(ctx().rng().next_below(4));
-    if (options_.flat) {
+    if (flat_) {
       ctx().space().mutate_flat(child, ctx().rng(), flags);
     } else {
       ctx().space().mutate(child, ctx().rng(), flags);
@@ -115,7 +114,7 @@ void GeneticTuner::tell(const Observation& observation) {
   }
 
   s.population = std::move(next);
-  s.fitness.assign(s.population_size, std::numeric_limits<double>::infinity());
+  s.fitness.assign(kPopulation, std::numeric_limits<double>::infinity());
   s.next_to_propose = 0;
   s.results = 0;
 }

@@ -44,6 +44,12 @@ namespace jat {
 
 namespace {
 
+/// Budget fractions: the structural phase ends at kStructuralBudgetFrac,
+/// the subtree descent kSubtreeBudgetFrac later; refinement takes the rest.
+constexpr double kStructuralBudgetFrac = 0.15;
+constexpr double kSubtreeBudgetFrac = 0.55;
+constexpr int kValuesPerFlag = 4;  ///< candidates per non-numeric flag
+
 /// Signature of a configuration's structural choices, for dedup.
 std::string structure_signature(const FlagHierarchy& hierarchy,
                                 const Configuration& config) {
@@ -200,13 +206,12 @@ void HierarchicalTuner::ask(std::vector<Proposal>& out, std::size_t max) {
           }
         }
         s.tell_mode = Impl::TellMode::kStructural;
-        s.queue_guard = options_.structural_budget_frac;
+        s.queue_guard = kStructuralBudgetFrac;
         break;
       }
       case Impl::Stage::kStructCross: {
         s.stage = Impl::Stage::kBasePick;
-        if (!s.structural_enabled ||
-            phase_over(options_.structural_budget_frac)) {
+        if (!s.structural_enabled || phase_over(kStructuralBudgetFrac)) {
           break;
         }
         // The collector x JIT-mode cross on the best single deviation.
@@ -226,7 +231,7 @@ void HierarchicalTuner::ask(std::vector<Proposal>& out, std::size_t max) {
           }
         }
         s.tell_mode = Impl::TellMode::kStructural;
-        s.queue_guard = options_.structural_budget_frac;
+        s.queue_guard = kStructuralBudgetFrac;
         break;
       }
       case Impl::Stage::kBasePick: {
@@ -260,8 +265,7 @@ void HierarchicalTuner::ask(std::vector<Proposal>& out, std::size_t max) {
             spent_frac / static_cast<double>(std::max<std::int64_t>(
                              1, ctx().evaluations()));
         const double affordable_evals =
-            per_eval_frac > 0 ? options_.subtree_budget_frac / per_eval_frac
-                              : 1e9;
+            per_eval_frac > 0 ? kSubtreeBudgetFrac / per_eval_frac : 1e9;
         if (affordable_evals >= 250.0) {
           const std::string default_sig =
               structure_signature(hierarchy, default_config);
@@ -289,9 +293,8 @@ void HierarchicalTuner::ask(std::vector<Proposal>& out, std::size_t max) {
           s.stage = Impl::Stage::kRefineEnter;
           break;
         }
-        const double subtree_start = options_.structural_budget_frac;
-        const double subtree_end =
-            subtree_start + options_.subtree_budget_frac;
+        const double subtree_start = kStructuralBudgetFrac;
+        const double subtree_end = subtree_start + kSubtreeBudgetFrac;
         s.slice_end = subtree_start +
                       (subtree_end - subtree_start) *
                           static_cast<double>(s.base_index + 1) /
@@ -385,7 +388,7 @@ void HierarchicalTuner::ask(std::vector<Proposal>& out, std::size_t max) {
           candidates.push_back(ctx().space().random_value(spec, ctx().rng()));
         } else {
           candidates.push_back(ctx().space().random_value(spec, ctx().rng()));
-          while (static_cast<int>(candidates.size()) < options_.values_per_flag) {
+          while (static_cast<int>(candidates.size()) < kValuesPerFlag) {
             candidates.push_back(ctx().space().neighbor_value(
                 spec, s.current.get(id), ctx().rng(), scale));
           }

@@ -6,6 +6,11 @@
 
 namespace jat {
 
+namespace {
+constexpr int kStagnationLimit = 40;  ///< failures before a restart
+constexpr double kStructureProbability = 0.08;
+}  // namespace
+
 // Speculative (1+λ) hill climbing: ask() emits several mutations of the
 // current point at once; tell() folds results back in first-improvement
 // order. A restart bumps the epoch — results from pre-restart proposals
@@ -26,13 +31,10 @@ struct HillClimber::Impl {
   std::uint64_t tag(bool anchor) const { return (epoch << 1) | (anchor ? 1 : 0); }
 };
 
-HillClimber::HillClimber() : HillClimber(Options{}) {}
-HillClimber::HillClimber(Options options) : options_(options) {}
+HillClimber::HillClimber() = default;
 HillClimber::~HillClimber() = default;
 
-std::string HillClimber::name() const {
-  return options_.flat ? "hillclimb-flat" : "hillclimb";
-}
+std::string HillClimber::name() const { return "hillclimb"; }
 
 void HillClimber::begin(StrategyContext& ctx) {
   SearchStrategy::begin(ctx);
@@ -48,15 +50,11 @@ void HillClimber::ask(std::vector<Proposal>& out, std::size_t max) {
   }
   while (out.size() < max) {
     Configuration candidate = s.current;
-    if (!options_.flat && ctx().rng().chance(options_.structure_probability)) {
+    if (ctx().rng().chance(kStructureProbability)) {
       ctx().space().mutate_structure(candidate, ctx().rng());
     } else {
       const int flags = 1 + static_cast<int>(ctx().rng().next_below(3));
-      if (options_.flat) {
-        ctx().space().mutate_flat(candidate, ctx().rng(), flags);
-      } else {
-        ctx().space().mutate(candidate, ctx().rng(), flags);
-      }
+      ctx().space().mutate(candidate, ctx().rng(), flags);
     }
     out.emplace_back(std::move(candidate), s.tag(false));
   }
@@ -76,15 +74,11 @@ void HillClimber::tell(const Observation& observation) {
     s.current = *observation.config;
     s.current_objective = observation.objective;
     s.stagnation = 0;
-  } else if (++s.stagnation >= options_.stagnation_limit) {
+  } else if (++s.stagnation >= kStagnationLimit) {
     // Restart from a lightly-randomised incumbent.
     ++s.epoch;
     s.current = ctx().best_config();
-    if (options_.flat) {
-      ctx().space().mutate_flat(s.current, ctx().rng(), 5, 2.0);
-    } else {
-      ctx().space().mutate(s.current, ctx().rng(), 5, 2.0);
-    }
+    ctx().space().mutate(s.current, ctx().rng(), 5, 2.0);
     s.current_objective = std::numeric_limits<double>::infinity();
     s.anchor_pending = true;
     s.stagnation = 0;

@@ -15,6 +15,12 @@
 
 namespace jat {
 
+namespace {
+constexpr int kDescentPatience = 25;  ///< consecutive failures ending a descent
+constexpr int kKickStrength = 6;      ///< simultaneous mutations per kick
+constexpr double kStructureKickProbability = 0.15;
+}  // namespace
+
 struct IteratedLocalSearch::Impl {
   Configuration home;
   double home_objective = std::numeric_limits<double>::infinity();
@@ -33,8 +39,7 @@ struct IteratedLocalSearch::Impl {
   std::uint64_t tag(bool anchor) const { return (epoch << 1) | (anchor ? 1 : 0); }
 };
 
-IteratedLocalSearch::IteratedLocalSearch() : IteratedLocalSearch(Options{}) {}
-IteratedLocalSearch::IteratedLocalSearch(Options options) : options_(options) {}
+IteratedLocalSearch::IteratedLocalSearch() = default;
 IteratedLocalSearch::~IteratedLocalSearch() = default;
 
 std::string IteratedLocalSearch::name() const { return "ils"; }
@@ -75,7 +80,7 @@ void IteratedLocalSearch::tell(const Observation& observation) {
     s.failures = 0;
     return;
   }
-  if (++s.failures < options_.descent_patience) return;
+  if (++s.failures < kDescentPatience) return;
 
   // Descent over. Better-acceptance, then a perturbation kick.
   if (s.current_objective < s.home_objective) {
@@ -84,10 +89,10 @@ void IteratedLocalSearch::tell(const Observation& observation) {
   }
   ++s.epoch;
   s.current = s.home;
-  if (ctx().rng().chance(options_.structure_kick_probability)) {
+  if (ctx().rng().chance(kStructureKickProbability)) {
     ctx().space().mutate_structure(s.current, ctx().rng());
   }
-  ctx().space().mutate(s.current, ctx().rng(), options_.kick_strength, 2.0);
+  ctx().space().mutate(s.current, ctx().rng(), kKickStrength, 2.0);
   s.current_objective = std::numeric_limits<double>::infinity();
   s.anchor_pending = true;
   s.failures = 0;

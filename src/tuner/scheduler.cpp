@@ -5,10 +5,8 @@
 
 namespace jat {
 
-EvalScheduler::EvalScheduler(TuningContext& ctx, SchedulerOptions options)
-    : ctx_(&ctx), options_(options) {
-  if (options_.inflight == 0) options_.inflight = 1;
-}
+EvalScheduler::EvalScheduler(TuningContext& ctx, std::size_t inflight)
+    : ctx_(&ctx), inflight_(std::max<std::size_t>(1, inflight)) {}
 
 double EvalScheduler::avg_inflight() const {
   return inflight_samples_ > 0 ? static_cast<double>(inflight_sum_) /
@@ -47,7 +45,7 @@ void EvalScheduler::dispatch(Proposal proposal) {
         });
   }
   if (ctx_->tracing()) {
-    ctx_->trace_event(TraceEvent("dispatch", ctx_->budget().spent())
+    ctx_->trace_event(TraceEvent("dispatch", ctx_->committed_spent())
                           .with("id", static_cast<std::int64_t>(flight.id))
                           .with("fingerprint",
                                 fingerprint_hex(flight.fingerprint))
@@ -69,15 +67,13 @@ void EvalScheduler::deliver(SearchStrategy& strategy) {
       : flight.pending.valid()
           ? flight.pending.get()
           : ctx_->measure_only(flight.config, flight.fingerprint, flight.hints);
-  // commit() may top up a raced-out result; it updates `result` in place so
-  // the committed ledger below folds in the extra charge.
+  // commit() advances the committed ledger by the cost, and may top up a
+  // raced-out result; it updates `result` in place with the extra charge.
   const double objective = ctx_->commit(flight.config, flight.fingerprint,
                                         result, flight.replay, flight.phase);
-  committed_spent_ += result.cost;
-  ++committed_evals_;
   if (ctx_->tracing()) {
     ctx_->trace_event(
-        TraceEvent("complete", ctx_->budget().spent())
+        TraceEvent("complete", ctx_->committed_spent())
             .with("id", static_cast<std::int64_t>(flight.id))
             .with("fingerprint", fingerprint_hex(flight.fingerprint))
             .with("objective_ms", objective)
@@ -96,10 +92,6 @@ void EvalScheduler::deliver(SearchStrategy& strategy) {
 }
 
 void EvalScheduler::run(SearchStrategy& strategy) {
-  // The ledger opens at whatever the session already spent (baseline
-  // measurement): deterministic, since everything before run() is serial.
-  committed_spent_ = ctx_->budget().spent();
-  committed_evals_ = static_cast<std::int64_t>(ctx_->db().size());
   db_base_ = ctx_->db().size();
   cancelled_run_ = false;
   window_.clear();
@@ -110,8 +102,6 @@ void EvalScheduler::run(SearchStrategy& strategy) {
   inflight_sum_ = 0;
 
   strategy_ctx_.tuning_ = ctx_;
-  strategy_ctx_.committed_spent_ = &committed_spent_;
-  strategy_ctx_.committed_evals_ = &committed_evals_;
   strategy_ctx_.rng_salt_ = mix64(ctx_->rng().next_u64(), 0x61736b2f74656c6cULL);
 
   strategy.begin(strategy_ctx_);
@@ -123,10 +113,10 @@ void EvalScheduler::run(SearchStrategy& strategy) {
     // Cancellation closes admission but never the deliver step below:
     // evaluations already in flight drain and commit normally.
     bool yielded = false;
-    while (window_.size() < options_.inflight && !committed_exhausted() &&
+    while (window_.size() < inflight_ && !committed_exhausted() &&
            !ctx_->cancelled()) {
       proposals.clear();
-      strategy.ask(proposals, options_.inflight - window_.size());
+      strategy.ask(proposals, inflight_ - window_.size());
       if (proposals.empty()) {
         yielded = true;
         break;
@@ -150,14 +140,14 @@ void EvalScheduler::run(SearchStrategy& strategy) {
   strategy.finish();
 
   if (cancelled_run_ && ctx_->tracing()) {
-    ctx_->trace_event(TraceEvent("cancelled", ctx_->budget().spent())
+    ctx_->trace_event(TraceEvent("cancelled", ctx_->committed_spent())
                           .with("drained", drained));
   }
 
   if (ctx_->tracing()) {
     ctx_->trace_event(
-        TraceEvent("window", ctx_->budget().spent())
-            .with("inflight_cap", static_cast<std::int64_t>(options_.inflight))
+        TraceEvent("window", ctx_->committed_spent())
+            .with("inflight_cap", static_cast<std::int64_t>(inflight_))
             .with("dispatched", dispatched_)
             .with("max_inflight", static_cast<std::int64_t>(max_inflight_))
             .with("avg_inflight", avg_inflight()));

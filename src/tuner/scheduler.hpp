@@ -7,17 +7,18 @@
 //             (submitted to the session's ThreadPool when one exists;
 //             queued for lazy inline execution otherwise);
 //   deliver — take the *oldest* in-flight evaluation, wait for its result,
-//             record it (ResultDb row, trace, incumbent) on the control
-//             thread, fold its cost into the committed ledger, and tell
-//             the strategy.
+//             commit it on the control thread (TuningContext::commit folds
+//             its cost into the committed ledger, then records the ResultDb
+//             row, trace and incumbent), and tell the strategy.
 //
 // Because admission gates on the committed ledger (never the live clock,
-// whose value mid-measurement depends on thread timing) and tells are
-// delivered in proposal order, the full ask/tell trajectory — and with
-// config-keyed measurement seeds, the full outcome — is bit-identical for
-// any eval_threads at a fixed window size. The window admits work only
-// while committed spend is below the budget, so the total charge can
-// overshoot by at most one in-flight window, never unboundedly.
+// whose value mid-measurement depends on thread timing), every budget
+// position the scheduler traces is the ledger's, and tells are delivered in
+// proposal order, the full ask/tell trajectory — and with config-keyed
+// measurement seeds, the full outcome — is bit-identical for any
+// eval_threads at a fixed window size. The window admits work only while
+// committed spend is below the budget, so the total charge can overshoot by
+// at most one in-flight window, never unboundedly.
 #pragma once
 
 #include <cstdint>
@@ -28,16 +29,13 @@
 
 namespace jat {
 
-struct SchedulerOptions {
-  /// Maximum evaluations in flight. Deliberately *not* derived from the
-  /// thread count: the window size shapes the ask/tell trajectory, so a
-  /// constant default keeps outcomes identical across eval_threads.
-  std::size_t inflight = 8;
-};
-
 class EvalScheduler {
  public:
-  explicit EvalScheduler(TuningContext& ctx, SchedulerOptions options = {});
+  /// `inflight` is the most evaluations in flight at once (0 counts as 1).
+  /// Deliberately *not* derived from the thread count: the window size
+  /// shapes the ask/tell trajectory, so a fixed window keeps outcomes
+  /// identical across eval_threads.
+  EvalScheduler(TuningContext& ctx, std::size_t inflight);
 
   /// Drives the strategy to completion: begin, fill/deliver until the
   /// strategy stops proposing or the committed budget is exhausted and the
@@ -90,11 +88,11 @@ class EvalScheduler {
   void dispatch(Proposal proposal);
   void deliver(SearchStrategy& strategy);
   bool committed_exhausted() const {
-    return committed_spent_ >= ctx_->budget().total();
+    return ctx_->committed_spent() >= ctx_->budget().total();
   }
 
   TuningContext* ctx_;
-  SchedulerOptions options_;
+  std::size_t inflight_;
   StrategyContext strategy_ctx_;
   std::deque<InFlight> window_;
   std::uint64_t next_id_ = 0;
@@ -103,9 +101,6 @@ class EvalScheduler {
   /// replay positions.
   std::size_t db_base_ = 0;
   bool cancelled_run_ = false;
-
-  SimTime committed_spent_;
-  std::int64_t committed_evals_ = 0;
 
   std::int64_t dispatched_ = 0;
   std::size_t max_inflight_ = 0;

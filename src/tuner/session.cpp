@@ -206,8 +206,7 @@ TuningOutcome run_session(const SessionOptions& options, const JournalMeta& meta
   }
   std::unique_ptr<ResilientEvaluator> resilient;
   if (options.resilient) {
-    resilient =
-        std::make_unique<ResilientEvaluator>(*evaluator, options.resilience);
+    resilient = std::make_unique<ResilientEvaluator>(*evaluator);
     resilient->set_cancellation(options.cancel);
     evaluator = resilient.get();
   }
@@ -351,7 +350,7 @@ TuningOutcome run_session(const SessionOptions& options, const JournalMeta& meta
     active = &*warm;
   }
 
-  EvalScheduler scheduler(ctx, SchedulerOptions{options.inflight});
+  EvalScheduler scheduler(ctx, options.inflight);
   scheduler.run(*active);
 
   if (resuming) {
@@ -426,10 +425,6 @@ TuningOutcome run_session(const SessionOptions& options, const JournalMeta& meta
   }
 
   if (trace != nullptr) {
-    trace->metrics().set_gauge("session.default_ms", outcome.default_ms);
-    trace->metrics().set_gauge("session.best_ms", outcome.best_ms);
-    trace->metrics().set_gauge("session.improvement",
-                               outcome.improvement_frac());
     TraceEvent session_end =
         TraceEvent("session_end", budget.spent())
             .with("workload", outcome.workload_name)
@@ -451,14 +446,6 @@ TuningOutcome run_session(const SessionOptions& options, const JournalMeta& meta
                                       outcome.charged_evaluations);
     }
     trace->emit(std::move(session_end));
-    TraceEvent metrics("metrics", budget.spent());
-    for (const auto& [name, value] : trace->metrics().counters()) {
-      metrics.fields.emplace_back("c." + name, value);
-    }
-    for (const auto& [name, value] : trace->metrics().gauges()) {
-      metrics.fields.emplace_back("g." + name, value);
-    }
-    trace->emit(std::move(metrics));
   }
 
   log_info() << "  best " << fmt(outcome.best_ms, 0) << ' ' << objective.unit()

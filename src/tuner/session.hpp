@@ -40,7 +40,7 @@ struct SessionOptions {
   std::size_t eval_threads = 0;
   /// Maximum evaluations the scheduler keeps in flight. Part of the search
   /// trajectory (it bounds speculation), deliberately independent of
-  /// eval_threads — see SchedulerOptions.
+  /// eval_threads — see EvalScheduler.
   std::size_t inflight = 8;
   /// Simulated per-run harness overhead (JVM spawn etc.), seconds.
   double per_run_overhead_s = 2.0;
@@ -59,9 +59,11 @@ struct SessionOptions {
   /// are bit-identical to fixed-repetition behaviour. When on,
   /// `measurement.max_reps` replaces `repetitions` as the per-candidate
   /// cap, stopping early on CI convergence or a Welch racing cut against
-  /// the incumbent; raced-out winners are topped up to convergence before
-  /// they can take the incumbency. The validation pass always measures
-  /// with the policy disabled (full repetitions when it counts).
+  /// the incumbent. A Welch-raced candidate never beats the incumbent it
+  /// raced against, so only with `racing_factor` set (`--racing`) is a
+  /// raced-out winner topped up to convergence before it takes the
+  /// incumbency. The validation pass always measures with the policy
+  /// disabled (full repetitions when it counts).
   MeasurementPolicyOptions measurement;
   /// Injected-fault model layered over the search runner (all rates zero =
   /// no injection). The validation pass always runs on a clean harness:
@@ -70,7 +72,6 @@ struct SessionOptions {
   /// Put the retry/quarantine/circuit-breaker layer between tuner and
   /// evaluator (see harness/resilient.hpp).
   bool resilient = false;
-  ResilienceOptions resilience;
   /// Execute measurements in forked worker processes (harness/sandbox.hpp):
   /// a crashing or wedged evaluation kills its worker, never the session.
   /// On a fault-free run the outcome is bit-identical to the in-process

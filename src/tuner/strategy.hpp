@@ -81,9 +81,9 @@ class StrategyContext {
   double best_objective() const { return tuning_->best_objective(); }
 
   SimTime budget_total() const { return tuning_->budget().total(); }
-  /// Budget charged by committed (told) evaluations, plus everything spent
-  /// before the scheduler started (the session baseline).
-  SimTime committed_spent() const { return *committed_spent_; }
+  /// Budget charged by committed evaluations, the session baseline included
+  /// (TuningContext::committed_spent()).
+  SimTime committed_spent() const { return tuning_->committed_spent(); }
   bool exhausted() const { return committed_spent() >= budget_total(); }
   /// Committed budget consumption in [0, 1].
   double progress() const {
@@ -92,8 +92,10 @@ class StrategyContext {
     const double p = committed_spent().as_seconds() / total;
     return p < 1.0 ? p : 1.0;
   }
-  /// Committed evaluation count (equals the ResultDb size).
-  std::int64_t evaluations() const { return *committed_evals_; }
+  /// Committed evaluation count (the ResultDb size).
+  std::int64_t evaluations() const {
+    return static_cast<std::int64_t>(tuning_->db().size());
+  }
 
   void set_phase(std::string phase) { tuning_->set_phase(std::move(phase)); }
   bool tracing() const { return tuning_->tracing(); }
@@ -104,8 +106,6 @@ class StrategyContext {
  private:
   friend class EvalScheduler;
   TuningContext* tuning_ = nullptr;
-  const SimTime* committed_spent_ = nullptr;
-  const std::int64_t* committed_evals_ = nullptr;
   std::uint64_t rng_salt_ = 0;
 };
 

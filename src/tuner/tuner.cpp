@@ -21,8 +21,7 @@ TuningContext::TuningContext(Evaluator& evaluator, BudgetClock& budget,
 
 void TuningContext::set_phase(std::string phase) {
   if (trace_ != nullptr) {
-    trace_->emit(
-        TraceEvent("phase", budget_->spent()).with("name", phase));
+    trace_->emit(TraceEvent("phase", committed_spent_).with("name", phase));
   }
   std::lock_guard lock(mutex_);
   phase_ = std::move(phase);
@@ -57,25 +56,23 @@ double TuningContext::record(const Configuration& config,
                              const std::string& phase) {
   const double objective = m.objective(*objective_);
   const std::string label = resolve_phase(phase);
-  db_->record(fingerprint, objective, budget_->spent(),
+  db_->record(fingerprint, objective, committed_spent_,
               config.render_command_line(), label, m.fault, m.crash_reason,
               m.attempts, m.stop, &m);
   if (trace_ != nullptr) {
-    trace_->emit(TraceEvent("eval", budget_->spent())
+    trace_->emit(TraceEvent("eval", committed_spent_)
                      .with("fingerprint", fingerprint_hex(fingerprint))
                      .with("objective_ms", objective)
                      .with("phase", label)
                      .with("fault", std::string(to_string(m.fault)))
                      .with("attempts", static_cast<std::int64_t>(m.attempts)));
-    trace_->metrics().add("tuner.evaluations");
     if (m.stop != StopReason::kFull) {
       trace_->emit(
-          TraceEvent("rep_stop", budget_->spent())
+          TraceEvent("rep_stop", committed_spent_)
               .with("fingerprint", fingerprint_hex(fingerprint))
               .with("stop", std::string(to_string(m.stop)))
               .with("reps", static_cast<std::int64_t>(m.times_ms.size()))
               .with("failed_reps", static_cast<std::int64_t>(m.failed_reps)));
-      trace_->metrics().add(std::string("policy.") + to_string(m.stop));
     }
   }
   consider(config, fingerprint, m, label);
@@ -87,6 +84,7 @@ double TuningContext::commit(const Configuration& config,
                              bool replayed, const std::string& phase) {
   const std::string label = resolve_phase(phase);
   MeasuredEval& applied = eval;
+  committed_spent_ += applied.cost;
   // Top-up: a raced-out measurement was cut short *because* it looked worse
   // than the incumbent at the time — but if it still displaces the incumbent
   // at commit time, promoting the truncated (biased-small) sample would bias
@@ -112,17 +110,17 @@ double TuningContext::commit(const Configuration& config,
       Measurement extended =
           evaluator_->measure(config, fingerprint, &meter, hints);
       applied.cost += meter.metered();
+      committed_spent_ += meter.metered();
       if (trace_ != nullptr) {
         const std::int64_t added =
             static_cast<std::int64_t>(extended.times_ms.size()) -
             static_cast<std::int64_t>(applied.measurement.times_ms.size());
         trace_->emit(
-            TraceEvent("topup", budget_->spent())
+            TraceEvent("topup", committed_spent_)
                 .with("fingerprint", fingerprint_hex(fingerprint))
                 .with("added_reps", std::max<std::int64_t>(0, added))
                 .with("objective_ms", extended.objective(*objective_))
                 .with("stop", std::string(to_string(extended.stop))));
-        trace_->metrics().add("policy.topups");
       }
       // An injected fault can lose the continuation; keep the partial
       // measurement rather than replacing a valid result with a crash.
@@ -134,7 +132,7 @@ double TuningContext::commit(const Configuration& config,
     // A crash between the append and the apply merely replays it on resume.
     journal_->append(make_journal_eval(
         static_cast<std::int64_t>(db_->size()), config, fingerprint,
-        applied.measurement, applied.cost, budget_->spent(), label,
+        applied.measurement, applied.cost, committed_spent_, label,
         /*include_metrics=*/objective_->id() != "run_time"));
   }
   // Charged evaluations: the budget-consuming subset of the trajectory.
@@ -211,11 +209,10 @@ void TuningContext::consider(const Configuration& config,
     }
   }
   if (improved && trace_ != nullptr) {
-    trace_->emit(TraceEvent("incumbent", budget_->spent())
+    trace_->emit(TraceEvent("incumbent", committed_spent_)
                      .with("fingerprint", fingerprint_hex(fingerprint))
                      .with("objective_ms", objective)
                      .with("phase", phase));
-    trace_->metrics().add("tuner.incumbent_updates");
   }
 }
 

@@ -39,7 +39,15 @@ class TuningContext {
   ResultDb& db() { return *db_; }
   ThreadPool* pool() { return pool_; }
 
-  bool exhausted() const { return budget_->exhausted(); }
+  /// The committed ledger: the budget charged by every committed evaluation
+  /// (replayed ones at their journaled cost), advanced by commit() in
+  /// commit order. Everything recorded at commit time reads it — the
+  /// ResultDb budget column, the journal's position, the trace events of
+  /// the tuner and the scheduler — never the live clock, which under
+  /// eval_threads also holds the charges of evaluations still in flight.
+  /// With nothing in flight the two agree, so serial sessions record
+  /// exactly what the live clock would show.
+  SimTime committed_spent() const { return committed_spent_; }
 
   /// True when the session traces. Tuners use trace_event() and only pay
   /// when a sink is attached.
@@ -78,12 +86,12 @@ class TuningContext {
                             std::uint64_t fingerprint,
                             const EvalHints& hints = EvalHints{});
 
-  /// Commits a completed evaluation: journals it (WAL order — the record is
-  /// durable before the result is applied), then record()s it. `replayed`
-  /// evaluations came *from* the journal and are not re-journaled. This is
-  /// the scheduler's commit point. `fingerprint` is `config.fingerprint()`,
-  /// computed once by the caller and reused for the top-up check, the
-  /// journal, and the record.
+  /// Commits a completed evaluation: advances the committed ledger by its
+  /// cost, journals it (WAL order — the record is durable before the result
+  /// is applied), then record()s it. `replayed` evaluations came *from* the
+  /// journal and are not re-journaled. This is the scheduler's commit
+  /// point. `fingerprint` is `config.fingerprint()`, computed once by the
+  /// caller and reused for the top-up check, the journal, and the record.
   ///
   /// Under an adaptive measurement policy, a raced-out measurement that
   /// would displace the incumbent is first *topped up*: re-measured to
@@ -91,8 +99,8 @@ class TuningContext {
   /// repetitions) so the racing cut never biases the incumbent. The merged
   /// result is what gets journaled, and `eval` is updated in place (merged
   /// measurement, top-up cost folded in) so the caller's cost ledger stays
-  /// exact. Replayed commits never top up — the journal already holds the
-  /// merged record.
+  /// exact. The ledger advances by the top-up's charge too. Replayed commits
+  /// never top up — the journal already holds the merged record.
   double commit(const Configuration& config, std::uint64_t fingerprint,
                 MeasuredEval& eval, bool replayed,
                 const std::string& phase = std::string());
@@ -157,10 +165,11 @@ class TuningContext {
   MeasuredEval replay_next(std::uint64_t fingerprint);
 
  private:
-  /// Records a completed measurement of `config`: ResultDb row, eval trace
-  /// event, and the incumbent update, on the scheduler's control thread so
-  /// row order and the incumbent are deterministic. An empty `phase` uses
-  /// the current set_phase() label. Returns the objective.
+  /// Records a completed measurement of `config` at the committed ledger's
+  /// position: ResultDb row, eval trace event, and the incumbent update, on
+  /// the scheduler's control thread so row order and the incumbent are
+  /// deterministic. An empty `phase` uses the current set_phase() label.
+  /// Returns the objective.
   double record(const Configuration& config, std::uint64_t fingerprint,
                 const Measurement& measurement, const std::string& phase);
   void consider(const Configuration& config, std::uint64_t fingerprint,
@@ -182,8 +191,10 @@ class TuningContext {
   const CancellationToken* cancel_ = nullptr;
   const std::vector<JournalEval>* replay_ = nullptr;
   std::size_t replay_cursor_ = 0;
-  /// Commits with nonzero cost (control thread only; see commit()).
+  /// Commits with nonzero cost, and the ledger (control thread only; see
+  /// commit()).
   std::int64_t charged_evals_ = 0;
+  SimTime committed_spent_;
 
   mutable std::mutex mutex_;
   std::string phase_;

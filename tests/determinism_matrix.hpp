@@ -10,12 +10,13 @@
 //
 //   - incumbent fingerprint, validated default/best objectives
 //   - evaluation, run, simulation, cache-hit, store-hit and
-//     charged-evaluation counters
+//     charged-evaluation counters, and the budget spent
 //   - the ResultDb log row for row: fingerprint, objective, phase,
-//     attempts, stop reason
-//   - budget positions, only between cells with identical eval_threads
-//     (under pipelined evaluation the budget column is charge-interleave
-//     wall-clock — documented nondeterminism, the trajectory is not)
+//     attempts, stop reason, budget position
+//
+// Budget positions are compared in every cell, threaded ones included:
+// each row records the committed ledger (TuningContext::committed_spent()),
+// never the live clock that in-flight evaluations on other threads charge.
 //
 // Execution modes live here; *trajectory* inputs (seed, budget, inflight,
 // racing, objective, store) belong in the base SessionOptions the caller
@@ -70,7 +71,6 @@ using StrategyFactory = std::function<std::unique_ptr<SearchStrategy>()>;
 inline void expect_identical_outcome(const TuningOutcome& reference,
                                      const TuningOutcome& got,
                                      const DeterminismMatrix& matrix,
-                                     bool compare_budget,
                                      const std::string& label) {
   EXPECT_EQ(got.best_config.fingerprint(), reference.best_config.fingerprint())
       << label;
@@ -83,9 +83,7 @@ inline void expect_identical_outcome(const TuningOutcome& reference,
   EXPECT_EQ(got.store_hits, reference.store_hits) << label;
   EXPECT_EQ(got.warm_seeds, reference.warm_seeds) << label;
   EXPECT_EQ(got.charged_evaluations, reference.charged_evaluations) << label;
-  if (compare_budget) {
-    EXPECT_EQ(got.budget_spent, reference.budget_spent) << label;
-  }
+  EXPECT_EQ(got.budget_spent, reference.budget_spent) << label;
 
   ASSERT_NE(reference.db, nullptr) << label;
   ASSERT_NE(got.db, nullptr) << label;
@@ -100,9 +98,7 @@ inline void expect_identical_outcome(const TuningOutcome& reference,
     if (matrix.compare_stop) {
       EXPECT_EQ(b.stop, a.stop) << label << " row " << i;
     }
-    if (compare_budget) {
-      EXPECT_EQ(b.budget_spent, a.budget_spent) << label << " row " << i;
-    }
+    EXPECT_EQ(b.budget_spent, a.budget_spent) << label << " row " << i;
   }
 }
 
@@ -135,11 +131,9 @@ inline TuningOutcome run_determinism_matrix(const JvmSimulator& simulator,
     TuningSession session(simulator, workload, options);
     auto strategy = make_strategy();
     const TuningOutcome outcome = session.run(*strategy);
-    const bool compare_budget = cell.eval_threads == 0;
     const std::string label =
         tag.empty() ? cell.label() : tag + " " + cell.label();
-    expect_identical_outcome(reference, outcome, matrix, compare_budget,
-                             label);
+    expect_identical_outcome(reference, outcome, matrix, label);
   }
   return reference;
 }
@@ -169,7 +163,6 @@ inline std::vector<WorkloadSpec> mini_suite() {
 inline void expect_identical_outcome(const SuiteOutcome& reference,
                                      const SuiteOutcome& got,
                                      const DeterminismMatrix& matrix,
-                                     bool compare_budget,
                                      const std::string& label) {
   EXPECT_EQ(got.best_config.fingerprint(), reference.best_config.fingerprint())
       << label;
@@ -184,9 +177,7 @@ inline void expect_identical_outcome(const SuiteOutcome& reference,
   EXPECT_EQ(got.warm_seeds, reference.warm_seeds) << label;
   EXPECT_EQ(got.charged_evaluations, reference.charged_evaluations) << label;
   EXPECT_EQ(got.cancelled, reference.cancelled) << label;
-  if (compare_budget) {
-    EXPECT_EQ(got.budget_spent, reference.budget_spent) << label;
-  }
+  EXPECT_EQ(got.budget_spent, reference.budget_spent) << label;
 
   ASSERT_NE(reference.db, nullptr) << label;
   ASSERT_NE(got.db, nullptr) << label;
@@ -201,9 +192,7 @@ inline void expect_identical_outcome(const SuiteOutcome& reference,
     if (matrix.compare_stop) {
       EXPECT_EQ(b.stop, a.stop) << label << " row " << i;
     }
-    if (compare_budget) {
-      EXPECT_EQ(b.budget_spent, a.budget_spent) << label << " row " << i;
-    }
+    EXPECT_EQ(b.budget_spent, a.budget_spent) << label << " row " << i;
   }
 }
 
@@ -234,8 +223,7 @@ inline SuiteOutcome run_determinism_matrix(
     const SuiteOutcome outcome = session.run(*strategy);
     const std::string label =
         tag.empty() ? cell.label() : tag + " " + cell.label();
-    expect_identical_outcome(reference, outcome, matrix,
-                             /*compare_budget=*/cell.eval_threads == 0, label);
+    expect_identical_outcome(reference, outcome, matrix, label);
   }
   return reference;
 }

@@ -79,7 +79,7 @@ class FailureInjection : public ::testing::Test {
     const SearchSpace space(FlagHierarchy::hotspot());
     TuningContext ctx(evaluator, budget, db, space, Rng(3));
     commit_defaults(ctx, space);
-    EvalScheduler(ctx).run(strategy);
+    EvalScheduler(ctx, 8).run(strategy);
     EXPECT_GT(db.size(), 0u);
     // Budget never silently ignored: the tuner stopped near exhaustion.
     EXPECT_TRUE(budget.exhausted());
@@ -196,10 +196,8 @@ TEST_F(FailureInjection, FlakyFailuresStillChargeTheBudget) {
 
 TEST_F(FailureInjection, RetryRecoversTransientFailures) {
   BenchmarkRunner runner(sim_, workload_);
-  FaultInjectingEvaluator flaky(runner, transient_only(0.5));
-  ResilienceOptions resilience;
-  resilience.max_attempts = 4;
-  ResilientEvaluator resilient(flaky, resilience);
+  FaultInjectingEvaluator flaky(runner, transient_only(0.3));
+  ResilientEvaluator resilient(flaky);
 
   int crashed = 0;
   for (const auto& c : distinct_configs(30)) {
@@ -209,7 +207,8 @@ TEST_F(FailureInjection, RetryRecoversTransientFailures) {
       EXPECT_EQ(m.fault, FaultClass::kTransient);  // taxonomy survives recovery
     }
   }
-  // P(4 straight transient failures) = 6.25%: nearly everything recovers.
+  // Three attempts per measurement: P(3 straight transient failures) =
+  // 2.7%, so nearly everything recovers.
   EXPECT_LE(crashed, 4);
   EXPECT_GT(resilient.stats().retries, 0);
   EXPECT_GT(resilient.stats().retry_successes, 0);
@@ -218,9 +217,7 @@ TEST_F(FailureInjection, RetryRecoversTransientFailures) {
 TEST_F(FailureInjection, RetriesAreChargedToTheBudget) {
   BenchmarkRunner runner(sim_, workload_);
   FaultInjectingEvaluator flaky(runner, transient_only(1.0));
-  ResilienceOptions resilience;
-  resilience.max_attempts = 3;
-  ResilientEvaluator resilient(flaky, resilience);
+  ResilientEvaluator resilient(flaky);
   BudgetClock budget(SimTime::minutes(10));
   const Measurement m = resilient.measure(defaults(), &budget);
   EXPECT_TRUE(m.crashed);
@@ -235,12 +232,10 @@ TEST_F(FailureInjection, QuarantineBlacklistsDeterministicCrashers) {
   BenchmarkRunner runner(sim_, workload_);
   FaultInjectingEvaluator flaky(runner, FaultOptions{});
   flaky.add_deterministic_crash(defaults().fingerprint());
-  ResilienceOptions resilience;
-  resilience.quarantine_threshold = 2;
-  ResilientEvaluator resilient(flaky, resilience);
+  ResilientEvaluator resilient(flaky);
 
   BudgetClock budget(SimTime::minutes(10));
-  // Two real (charged) failures ...
+  // Two real (charged) failures reach the quarantine threshold ...
   EXPECT_EQ(resilient.measure(defaults(), &budget).fault,
             FaultClass::kDeterministic);
   EXPECT_EQ(resilient.measure(defaults(), &budget).fault,
@@ -253,7 +248,7 @@ TEST_F(FailureInjection, QuarantineBlacklistsDeterministicCrashers) {
   EXPECT_TRUE(m.crashed);
   EXPECT_EQ(m.fault, FaultClass::kQuarantined);
   EXPECT_NE(m.crash_reason.find("quarantined"), std::string::npos);
-  EXPECT_LT(budget.spent() - spent_before, SimTime::seconds(1));
+  EXPECT_EQ(budget.spent() - spent_before, SimTime::millis(50));
   EXPECT_EQ(flaky.stats().deterministic, 2);  // inner evaluator not called again
   EXPECT_EQ(resilient.stats().quarantined, 1);
   EXPECT_EQ(resilient.stats().quarantine_hits, 1);
@@ -264,10 +259,7 @@ TEST_F(FailureInjection, QuarantineNeverHoldsTransientOnlyConfigs) {
   // quarantined, no matter how often it flaked.
   BenchmarkRunner runner(sim_, workload_);
   FaultInjectingEvaluator flaky(runner, transient_only(0.7, 77));
-  ResilienceOptions resilience;
-  resilience.max_attempts = 2;
-  resilience.quarantine_threshold = 1;  // as aggressive as it gets
-  ResilientEvaluator resilient(flaky, resilience);
+  ResilientEvaluator resilient(flaky);
 
   const auto configs = distinct_configs(15);
   for (int round = 0; round < 5; ++round) {
@@ -282,29 +274,25 @@ TEST_F(FailureInjection, QuarantineNeverHoldsTransientOnlyConfigs) {
 TEST_F(FailureInjection, CircuitBreakerDegradesToFailFast) {
   BenchmarkRunner runner(sim_, workload_);
   FaultInjectingEvaluator flaky(runner, transient_only(1.0));
-  ResilienceOptions resilience;
-  resilience.max_attempts = 3;
-  resilience.breaker_threshold = 3;
-  ResilientEvaluator resilient(flaky, resilience);
+  ResilientEvaluator resilient(flaky);
 
-  const auto configs = distinct_configs(6);
+  const auto configs = distinct_configs(13);
   for (const auto& c : configs) resilient.measure(c, nullptr);
 
   EXPECT_TRUE(resilient.breaker_open());
   EXPECT_EQ(resilient.stats().breaker_trips, 1);
-  // First three measurements were retried in full (3 attempts each); after
-  // the breaker opened the last three cost a single attempt.
-  EXPECT_EQ(flaky.stats().transient, 3 * 3 + 3 * 1);
+  // The first ten measurements, up to the breaker's threshold, were retried
+  // in full (3 attempts each); after the breaker opened the last three cost
+  // a single attempt.
+  EXPECT_EQ(flaky.stats().transient, 10 * 3 + 3 * 1);
 }
 
 TEST_F(FailureInjection, CircuitBreakerClosesOnSuccess) {
   BenchmarkRunner runner(sim_, workload_);
   FaultInjectingEvaluator flaky(runner, FaultOptions{});
-  const auto bad = distinct_configs(3);
+  const auto bad = distinct_configs(10);  // the breaker's threshold
   for (const auto& c : bad) flaky.add_deterministic_crash(c.fingerprint());
-  ResilienceOptions resilience;
-  resilience.breaker_threshold = 3;
-  ResilientEvaluator resilient(flaky, resilience);
+  ResilientEvaluator resilient(flaky);
 
   for (const auto& c : bad) resilient.measure(c, nullptr);
   EXPECT_TRUE(resilient.breaker_open());
@@ -320,12 +308,11 @@ TEST_F(FailureInjection, BudgetNeverOverchargedUnderTotalFailureWithRetries) {
   // never overshoots by more than the one attempt in flight when it expired.
   BenchmarkRunner runner(sim_, workload_);
   FaultInjectingEvaluator flaky(runner, transient_only(1.0, 31));
-  ResilienceOptions resilience;
-  resilience.max_attempts = 3;
-  resilience.breaker_threshold = 1000;  // keep retrying to the bitter end
-  ResilientEvaluator resilient(flaky, resilience);
+  ResilientEvaluator resilient(flaky);
 
-  const SimTime total = SimTime::minutes(2);
+  // 50 s of 3-s failures expire during the sixth measurement's retries,
+  // before the breaker's ten failures stop retrying.
+  const SimTime total = SimTime::seconds(50);
   BudgetClock budget(total);
   const auto configs = distinct_configs(64);
   for (std::size_t i = 0; !budget.exhausted(); i = (i + 1) % configs.size()) {
@@ -375,7 +362,7 @@ TEST_F(FailureInjection, TotalHarnessFailureStillTerminates) {
   const SearchSpace space(FlagHierarchy::hotspot());
   TuningContext ctx(resilient, budget, db, space, Rng(1));
   commit_defaults(ctx, space);
-  EvalScheduler(ctx).run(tuner);  // must not hang or throw
+  EvalScheduler(ctx, 8).run(tuner);  // must not hang or throw
   EXPECT_TRUE(budget.exhausted());
   EXPECT_TRUE(std::isinf(ctx.best_objective()));
   // The incumbent is still retrievable (the crashed default).
@@ -397,7 +384,7 @@ TEST_F(FailureInjection, IncumbentFiniteWheneverAnyFiniteResultExists) {
     TuningContext ctx(resilient, budget, db, space, Rng(seed));
     commit_defaults(ctx, space);
     HierarchicalTuner tuner;
-    EvalScheduler(ctx).run(tuner);
+    EvalScheduler(ctx, 8).run(tuner);
     if (std::isfinite(db.best_objective())) {
       EXPECT_TRUE(std::isfinite(ctx.best_objective())) << "seed " << seed;
       EXPECT_EQ(ctx.best_objective(), db.best_objective()) << "seed " << seed;

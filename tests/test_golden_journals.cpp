@@ -7,11 +7,12 @@
 // options from the metadata record is under test along with the session.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <fstream>
-#include <sstream>
 #include <string>
 
+#include "jat_tune_cli.hpp"
+
+namespace jat {
 namespace {
 
 struct GoldenJournal {
@@ -19,21 +20,6 @@ struct GoldenJournal {
   const char* journal;  ///< file under tests/golden/
   const char* args;     ///< the session the journal was cut from
 };
-
-std::string slurp(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  std::ostringstream out;
-  out << in.rdbuf();
-  return out.str();
-}
-
-/// Runs jat_tune with `args`, stdout and stderr to `log`; returns the exit
-/// status.
-int jat_tune(const std::string& args, const std::string& log) {
-  const std::string command =
-      std::string("'") + JAT_TUNE_BIN + "' " + args + " > '" + log + "' 2>&1";
-  return std::system(command.c_str());
-}
 
 class GoldenJournals : public ::testing::TestWithParam<GoldenJournal> {};
 
@@ -86,3 +72,4 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 }  // namespace
+}  // namespace jat

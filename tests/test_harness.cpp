@@ -296,81 +296,79 @@ TEST_F(RunnerTest, PartialCrashSalvagesValidRepetitions) {
   noisy.noise_sigma = 0.3;
   RunnerOptions options;
   options.repetitions = 5;
-  options.fail_fast = false;
 
-  // Probe the per-repetition spread, then set a time limit that cuts
-  // between the 3rd and 4th fastest repetition.
+  // Probe the per-repetition spread, then set a time limit that the first
+  // repetition slower than all before it exceeds and they all meet.
   BenchmarkRunner probe(sim_, noisy, options);
   Measurement clean = probe.measure(config_);
   ASSERT_EQ(clean.times_ms.size(), 5u);
-  std::vector<double> sorted = clean.times_ms;
-  std::sort(sorted.begin(), sorted.end());
-  ASSERT_LT(sorted[2], sorted[3]);  // the noise spread the repetitions out
-  const double cut_ms = (sorted[2] + sorted[3]) / 2.0;
+  std::size_t cut = 1;
+  while (cut < 5 && clean.times_ms[cut] <= clean.times_ms[cut - 1]) ++cut;
+  ASSERT_LT(cut, 5u);  // the noise spread the repetitions out
+  const double slowest_before =
+      *std::max_element(clean.times_ms.begin(), clean.times_ms.begin() + cut);
+  ASSERT_LT(slowest_before, clean.times_ms[cut]);
+  const double cut_ms = (slowest_before + clean.times_ms[cut]) / 2.0;
 
   BenchmarkRunner strict(sim_, noisy, options);
   strict.set_time_limit(SimTime::seconds(cut_ms / 1000.0));
   const Measurement m = strict.measure(config_);
-  // Two repetitions timed out, three survived: a noisy result, not a crash.
+  // The first timeout ends the measurement (fail fast), and the repetitions
+  // before it survive: a noisy result, not a crash.
   EXPECT_TRUE(m.valid());
-  EXPECT_EQ(m.times_ms.size(), 3u);
-  EXPECT_EQ(m.failed_reps, 2);
+  EXPECT_EQ(m.times_ms.size(), cut);
+  EXPECT_EQ(m.failed_reps, 1);
   EXPECT_EQ(m.fault, FaultClass::kTimeout);
   EXPECT_TRUE(std::isfinite(m.objective()));
-  EXPECT_EQ(strict.counters().faults.timeouts, 2);
+  EXPECT_EQ(strict.counters().faults.timeouts, 1);
   EXPECT_EQ(strict.counters().faults.salvaged, 1);
-  // All five repetitions noise one trajectory: the limit cut two of them
-  // through their noise alone, and the cut left the trajectory intact for
-  // the repetitions after it.
-  EXPECT_EQ(strict.counters().runs, 5);
+  // The repetitions noise one trajectory: the limit cut one of them
+  // through its noise alone, and none ran after it.
+  EXPECT_EQ(strict.counters().runs, static_cast<std::int64_t>(cut) + 1);
   EXPECT_EQ(strict.counters().simulations, 1);
 }
 
 TEST_F(RunnerTest, AllRepetitionsFailedStillReportsCrash) {
   config_.set_bool("UseG1GC", true);  // conflicting collectors
-  RunnerOptions options;
-  options.fail_fast = false;
-  BenchmarkRunner runner(sim_, tiny_workload(), options);
+  BenchmarkRunner runner(sim_, tiny_workload());
   const Measurement m = runner.measure(config_);
   EXPECT_TRUE(m.crashed);
   EXPECT_EQ(m.fault, FaultClass::kDeterministic);
-  EXPECT_EQ(m.failed_reps, 3);
+  EXPECT_EQ(m.failed_reps, 1);
   EXPECT_FALSE(m.crash_reason.empty());
-  // Three refused starts, none of them simulated.
-  EXPECT_EQ(runner.counters().runs, 3);
+  // One refused start ends the measurement, and it was never simulated.
+  EXPECT_EQ(runner.counters().runs, 1);
   EXPECT_EQ(runner.counters().simulations, 0);
 }
 
 TEST_F(RunnerTest, MetaspaceOomRepetitionsTakeNoNoise) {
   // The early Metaspace OutOfMemoryError reports exactly two seconds at
-  // every seed: each repetition of its one simulated trajectory equals the
+  // every seed: the repetition of its one simulated trajectory equals the
   // direct run, with no noise although the workload is noisy.
   WorkloadSpec w = tiny_workload();
   w.startup_classes = 20000;
   config_.set_int("MaxMetaspaceSize", 16 * kMiB);
   RunnerOptions options;
-  options.fail_fast = false;
   BenchmarkRunner runner(sim_, w, options);
   BudgetClock budget(SimTime::minutes(10));
   const Measurement m = runner.measure(config_, &budget);
   EXPECT_TRUE(m.crashed);
   EXPECT_EQ(m.crash_reason, "OutOfMemoryError: Metaspace");
   EXPECT_EQ(m.fault, FaultClass::kDeterministic);
-  EXPECT_EQ(m.failed_reps, 3);
-  EXPECT_EQ(runner.counters().runs, 3);
+  // The crash ends the measurement at its first repetition.
+  EXPECT_EQ(m.failed_reps, 1);
+  EXPECT_EQ(runner.counters().runs, 1);
   EXPECT_EQ(runner.counters().simulations, 1);
+  EXPECT_EQ(budget.spent(),
+            SimTime::seconds(2.0) + SimTime::seconds(options.per_run_overhead_s));
 
-  SimTime direct_charges;
   for (std::uint64_t rep = 0; rep < 3; ++rep) {
     const RunResult direct =
         sim_.run(config_, w,
                  mix64(options.seed, mix64(config_.fingerprint(), rep)));
     EXPECT_EQ(direct.crash_reason, m.crash_reason) << "rep " << rep;
     EXPECT_EQ(direct.total_time, SimTime::seconds(2.0)) << "rep " << rep;
-    direct_charges +=
-        direct.total_time + SimTime::seconds(options.per_run_overhead_s);
   }
-  EXPECT_EQ(budget.spent(), direct_charges);
 }
 
 }  // namespace

@@ -582,15 +582,11 @@ TEST_P(JournalResume, TruncatedJournalResumesBitIdentically) {
       EXPECT_EQ(reference.db->get(i).objective_ms,
                 resumed.db->get(i).objective_ms)
           << param.strategy << " keep=" << keep << " row " << i;
-      // The budget *position* a row was recorded at is only deterministic
-      // serially: with worker threads, concurrent charges land between a
-      // commit and its record() bookkeeping. The trajectory-defining
-      // fields above are exact for any thread count.
-      if (param.eval_threads == 0) {
-        EXPECT_EQ(reference.db->get(i).budget_spent,
-                  resumed.db->get(i).budget_spent)
-            << param.strategy << " keep=" << keep << " row " << i;
-      }
+      // Rows record the committed ledger, so the budget position is
+      // exact for any thread count too.
+      EXPECT_EQ(reference.db->get(i).budget_spent,
+                resumed.db->get(i).budget_spent)
+          << param.strategy << " keep=" << keep << " row " << i;
     }
   }
 }
@@ -676,11 +672,9 @@ TEST_P(JournalResume, SuiteResumesBitIdenticallyFromEveryCut) {
       EXPECT_EQ(reference.db->get(i).objective_ms,
                 resumed.db->get(i).objective_ms)
           << label << " row " << i;
-      if (param.eval_threads == 0) {
-        EXPECT_EQ(reference.db->get(i).budget_spent,
-                  resumed.db->get(i).budget_spent)
-            << label << " row " << i;
-      }
+      EXPECT_EQ(reference.db->get(i).budget_spent,
+                resumed.db->get(i).budget_spent)
+          << label << " row " << i;
     }
   }
 }

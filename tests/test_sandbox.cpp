@@ -263,7 +263,7 @@ TEST_F(SandboxTest, KilledWorkerIsClassifiedAsCrashAndRespawned) {
   EXPECT_TRUE(m.crashed);
   EXPECT_EQ(m.fault, FaultClass::kCrash);
   EXPECT_NE(m.crash_reason.find("killed by"), std::string::npos);
-  EXPECT_EQ(budget.spent(), options.crash_cost);
+  EXPECT_EQ(budget.spent(), SimTime::seconds(3));  // the crash charge
   EXPECT_EQ(sandbox.counters().faults.crashes, 1);
 
   // The session survives: the next measurement respawns the worker.
@@ -288,7 +288,6 @@ TEST_F(SandboxTest, WedgedWorkerIsEscalatedAndClassifiedAsTimeout) {
   SandboxOptions options;
   options.workers = 1;
   options.eval_deadline_s = 0.3;
-  options.kill_grace_ms = 150;
   options.inject.wedge_fingerprints = {doomed.fingerprint()};
   SandboxedEvaluator sandbox(runner, space_.registry(), options);
   sandbox.link_runner(&runner);
@@ -301,7 +300,7 @@ TEST_F(SandboxTest, WedgedWorkerIsEscalatedAndClassifiedAsTimeout) {
   EXPECT_EQ(m.fault, FaultClass::kTimeout);
   EXPECT_NE(m.crash_reason.find("deadline"), std::string::npos);
   // The harness paid for the whole hang, like an injected-hang timeout.
-  EXPECT_EQ(budget.spent(), options.hang_cost);
+  EXPECT_EQ(budget.spent(), SimTime::seconds(60));
   EXPECT_EQ(sandbox.counters().faults.timeouts, 1);
 
   // The wedge ignores SIGTERM, so the watchdog escalated term -> kill.
@@ -411,9 +410,7 @@ TEST_F(SandboxTest, TornReplyIsTransientAndRetryRecovers) {
   SandboxedEvaluator sandbox(runner, space_.registry(), options);
   sandbox.link_runner(&runner);
 
-  ResilienceOptions resilience;
-  resilience.max_attempts = 3;
-  ResilientEvaluator resilient(sandbox, resilience);
+  ResilientEvaluator resilient(sandbox);
   BudgetClock budget(SimTime::minutes(100));
 
   const Measurement m = resilient.measure(flaky, &budget);
@@ -445,7 +442,7 @@ TEST_F(SandboxTest, GarbledReplyFromALiveWorkerIsTransient) {
   EXPECT_EQ(m.fault, FaultClass::kTransient) << m.crash_reason;
   EXPECT_EQ(sandbox.counters().faults.crashes, 0);
   EXPECT_EQ(sandbox.counters().faults.transient, 1);
-  EXPECT_EQ(budget.spent(), options.crash_cost);
+  EXPECT_EQ(budget.spent(), SimTime::seconds(3));  // the crash charge
 
   // The respawned worker answers the next request.
   EXPECT_TRUE(sandbox.measure(defaults(), &budget).valid());
@@ -547,9 +544,7 @@ TEST_F(SandboxTest, RepeatedCrashesQuarantineTheFingerprint) {
   SandboxedEvaluator sandbox(runner, space_.registry(), options);
   sandbox.link_runner(&runner);
 
-  ResilienceOptions resilience;
-  resilience.quarantine_threshold = 2;
-  ResilientEvaluator resilient(sandbox, resilience);
+  ResilientEvaluator resilient(sandbox);
   BudgetClock budget(SimTime::minutes(100));
 
   // A process crash is a hard failure: no retry, straight to quarantine
@@ -565,10 +560,8 @@ TEST_F(SandboxTest, RepeatedCrashesQuarantineTheFingerprint) {
 }
 
 TEST_F(SandboxTest, SessionOutcomeIsBitIdenticalWithoutFaults) {
-  // Serial sandbox matches the in-process reference including budget
-  // positions; pipelined sandbox matches the trajectory and counters (the
-  // matrix skips budget comparison for pipelined cells — documented
-  // charge-interleave nondeterminism).
+  // Serial and pipelined sandboxes both match the in-process reference,
+  // budget positions included (rows record the committed ledger).
   SessionOptions base;
   base.budget = SimTime::minutes(12);
   base.seed = 41;
@@ -625,7 +618,6 @@ TEST_F(SandboxTest, FaultInjectedSessionCompletesWithEveryFailureClassified) {
   options.sandbox = true;
   options.sandbox_options.workers = 3;
   options.sandbox_options.eval_deadline_s = 1.0;
-  options.sandbox_options.kill_grace_ms = 150;
   options.sandbox_options.inject.kill_rate = 0.08;
   options.sandbox_options.inject.wedge_rate = 0.02;
   TuningSession session(sim_, workload_, options);

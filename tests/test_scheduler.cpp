@@ -244,7 +244,7 @@ TEST_F(SchedulerSuite, NeverMeasuresOneConfigurationTwiceAtOnce) {
     ThreadPool pool(threads);
     TuningContext ctx(probe, budget, db, space, Rng(5), &pool);
     RoundRobinStrategy strategy;
-    EvalScheduler(ctx, SchedulerOptions{.inflight = 8}).run(strategy);
+    EvalScheduler(ctx, 8).run(strategy);
 
     EXPECT_EQ(probe.max_overlap(), 1);
     EXPECT_EQ(strategy.told(), RoundRobinStrategy::kProposals);
@@ -330,7 +330,7 @@ TEST_F(SchedulerSuite, EveryLayerReceivesTheDispatchFingerprint) {
   TuningContext::MeasuredEval base = ctx.measure_only(defaults, defaults_fp);
   ctx.commit(defaults, defaults_fp, base, /*replayed=*/false);
   HierarchicalTuner strategy;
-  EvalScheduler(ctx, SchedulerOptions{.inflight = 8}).run(strategy);
+  EvalScheduler(ctx, 8).run(strategy);
 
   EXPECT_EQ(probe.wrong(), 0) << "of " << probe.calls() << " calls";
   EXPECT_GT(probe.calls(), 50);
@@ -367,7 +367,7 @@ TEST_F(SchedulerSuite, OnlyTheRacingFloorFeedsTheTopUp) {
       TuningContext::MeasuredEval base = ctx.measure_only(defaults, defaults_fp);
       ctx.commit(defaults, defaults_fp, base, /*replayed=*/false);
       const auto strategy = make_strategy(name);
-      EvalScheduler(ctx).run(*strategy);
+      EvalScheduler(ctx, 8).run(*strategy);
 
       int raced_out = 0;
       for (const EvalRecord& record : db.all()) {

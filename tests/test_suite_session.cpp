@@ -259,8 +259,7 @@ TEST_F(SuiteSessionTest, TracedSessionEmitsSessionEventsAndMatchesUntraced) {
   HillClimber traced_tuner;
   const SuiteOutcome traced =
       SuiteTuningSession(sim_, mini_suite(), options).run(traced_tuner);
-  expect_identical_outcome(untraced, traced, DeterminismMatrix{},
-                           /*compare_budget=*/true, "traced");
+  expect_identical_outcome(untraced, traced, DeterminismMatrix{}, "traced");
 
   std::size_t session_start = 0, baseline = 0, evals = 0, session_end = 0;
   for (const TraceEvent& event : sink.events()) {

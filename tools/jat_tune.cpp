@@ -7,14 +7,17 @@
 //            --out tuned.flags --explain
 //   jat_tune --list
 //   jat_tune --suite dacapo --budget 2000 --tuner genetic --threads 8
+#include <charconv>
 #include <cmath>
 #include <csignal>
 #include <cstdio>
 #include <cstring>
 #include <exception>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include <unistd.h>
@@ -135,7 +138,67 @@ void usage() {
       "  --sandbox-inject-torn R   probability of a torn (truncated) reply\n"
       "  --explain           leave-one-out analysis of the winning flags\n"
       "  --verbose           per-phase progress logging\n"
-      "  --list              list available workloads\n");
+      "  --list              list available workloads\n\n"
+      "Numeric values must parse whole and fit the flag: counts are never\n"
+      "negative, --reps, --inflight, --sandbox-workers and --adaptive-reps are\n"
+      "at least 1, --budget is positive, and rates (--ci-rel, --race-p,\n"
+      "--sandbox-inject-*) lie in [0, 1]. Anything else exits 2.\n");
+}
+
+// ---- numeric flag values ---------------------------------------------------
+//
+// A numeric flag's value must parse whole and lie in the flag's range;
+// anything else is a usage error (exit 2, naming the flag) before any
+// session starts, never a wrapped count or a silently zeroed one.
+
+[[noreturn]] void bad_value(const std::string& flag, const char* text,
+                            const char* why) {
+  std::fprintf(stderr, "error: %s %s: %s\n", flag.c_str(), text, why);
+  std::exit(2);
+}
+
+/// The whole of `text` as a T (std::from_chars: no spaces, no '+').
+template <class T>
+T parse_whole(const std::string& flag, const char* text) {
+  T value{};
+  const char* end = text + std::strlen(text);
+  const auto [stop, error] = std::from_chars(text, end, value);
+  if (stop != end || error == std::errc::invalid_argument) {
+    bad_value(flag, text,
+              std::is_integral_v<T> ? "not a whole number" : "not a number");
+  }
+  if (error != std::errc{}) bad_value(flag, text, "out of range");
+  return value;
+}
+
+/// A count of at least `min` (0 or 1) that fits a T.
+template <class T>
+T count_value(const std::string& flag, const char* text, T min) {
+  const long long value = parse_whole<long long>(flag, text);
+  if (value < 0) bad_value(flag, text, "must not be negative");
+  if (value < static_cast<long long>(min)) {
+    bad_value(flag, text, "must be positive");
+  }
+  if (static_cast<unsigned long long>(value) > std::numeric_limits<T>::max()) {
+    bad_value(flag, text, "out of range");
+  }
+  return static_cast<T>(value);
+}
+
+/// A finite number in [0, hi], and above 0 when `positive`.
+double number_value(const std::string& flag, const char* text,
+                    double hi = std::numeric_limits<double>::max(),
+                    bool positive = false) {
+  const double value = parse_whole<double>(flag, text);
+  if (!std::isfinite(value)) bad_value(flag, text, "not a finite number");
+  if (value < 0) bad_value(flag, text, "must not be negative");
+  if (positive && value == 0) bad_value(flag, text, "must be positive");
+  if (value > hi) bad_value(flag, text, "out of range");
+  return value;
+}
+
+double rate_value(const std::string& flag, const char* text) {
+  return number_value(flag, text, 1.0);
 }
 
 std::unique_ptr<SearchStrategy> make_tuner(const std::string& name) {
@@ -353,7 +416,8 @@ int main(int argc, char** argv) {
     } else if (arg == "--suite") {
       suite = next();
     } else if (arg == "--budget") {
-      options.budget = jat::SimTime::minutes(std::atof(next()));
+      options.budget = jat::SimTime::minutes(number_value(
+          arg, next(), std::numeric_limits<double>::max(), /*positive=*/true));
     } else if (arg == "--tuner") {
       tuner_name = next();
     } else if (arg == "--objective") {
@@ -364,14 +428,14 @@ int main(int argc, char** argv) {
       }
       return 0;
     } else if (arg == "--seed") {
-      options.seed = static_cast<std::uint64_t>(std::strtoull(next(), nullptr, 10));
+      options.seed = parse_whole<std::uint64_t>(arg, next());
     } else if (arg == "--reps") {
-      options.repetitions = std::atoi(next());
+      options.repetitions = count_value(arg, next(), 1);
     } else if (arg == "--threads" || arg == "--eval-threads") {
-      options.eval_threads = static_cast<std::size_t>(std::atoi(next()));
+      options.eval_threads = count_value<std::size_t>(arg, next(), 0);
       threads_set = true;
     } else if (arg == "--inflight") {
-      options.inflight = static_cast<std::size_t>(std::atoi(next()));
+      options.inflight = count_value<std::size_t>(arg, next(), 1);
     } else if (arg == "--out") {
       out_path = next();
     } else if (arg == "--trace") {
@@ -386,20 +450,20 @@ int main(int argc, char** argv) {
     } else if (arg == "--store") {
       store_path = next();
     } else if (arg == "--warm-start") {
-      options.warm_start = std::atoi(next());
+      options.warm_start = count_value(arg, next(), 0);
     } else if (arg == "--no-store-reads") {
       options.store_reads = false;
     } else if (arg == "--kill-after-evals") {
-      journal_options.crash_after_appends = std::atoi(next());
+      journal_options.crash_after_appends = count_value(arg, next(), 0);
     } else if (arg == "--racing") {
       options.racing_factor = 1.3;
     } else if (arg == "--adaptive-reps") {
       options.measurement.adaptive = true;
-      options.measurement.max_reps = std::atoi(next());
+      options.measurement.max_reps = count_value(arg, next(), 1);
     } else if (arg == "--ci-rel") {
-      options.measurement.ci_rel = std::atof(next());
+      options.measurement.ci_rel = rate_value(arg, next());
     } else if (arg == "--race-p") {
-      options.measurement.race_p = std::atof(next());
+      options.measurement.race_p = rate_value(arg, next());
     } else if (arg == "--resilient") {
       options.resilient = true;
     } else if (arg == "--sandbox") {
@@ -407,25 +471,25 @@ int main(int argc, char** argv) {
     } else if (arg == "--sandbox-workers") {
       options.sandbox = true;
       options.sandbox_options.workers =
-          static_cast<std::size_t>(std::atoi(next()));
+          count_value<std::size_t>(arg, next(), 1);
     } else if (arg == "--eval-deadline-s") {
       options.sandbox = true;
-      options.sandbox_options.eval_deadline_s = std::atof(next());
+      options.sandbox_options.eval_deadline_s = number_value(arg, next());
     } else if (arg == "--sandbox-rlimit-cpu") {
       options.sandbox = true;
-      options.sandbox_options.rlimit_cpu_s = std::atoi(next());
+      options.sandbox_options.rlimit_cpu_s = count_value(arg, next(), 0L);
     } else if (arg == "--sandbox-rlimit-as") {
       options.sandbox = true;
-      options.sandbox_options.rlimit_as_mb = std::atoi(next());
+      options.sandbox_options.rlimit_as_mb = count_value(arg, next(), 0L);
     } else if (arg == "--sandbox-inject-kill") {
       options.sandbox = true;
-      options.sandbox_options.inject.kill_rate = std::atof(next());
+      options.sandbox_options.inject.kill_rate = rate_value(arg, next());
     } else if (arg == "--sandbox-inject-wedge") {
       options.sandbox = true;
-      options.sandbox_options.inject.wedge_rate = std::atof(next());
+      options.sandbox_options.inject.wedge_rate = rate_value(arg, next());
     } else if (arg == "--sandbox-inject-torn") {
       options.sandbox = true;
-      options.sandbox_options.inject.torn_rate = std::atof(next());
+      options.sandbox_options.inject.torn_rate = rate_value(arg, next());
     } else if (arg == "--replay") {
       replay_path = next();
     } else if (arg == "--explain") {
